@@ -15,15 +15,25 @@ per label). True positives count ground truths while false positives count
 detections, so one detection spanning k ground truths can yield k true
 positives, and k split detections covering one ground truth yield at most
 one.
+
+Every coverage sum comes from one kernel, :meth:`OnsetIndex.coverage`: the
+events of each file sorted by onset, with a running maximum of offsets, so
+a lookup visits only the events that can overlap and counting costs close
+to linear time in the events per file. The ground-truth index is built
+lazily, once per dataset, on first use. One lookup per detection gives
+both its DTC verdict and its cross-triggers; GTC looks each ground truth
+up in an index of the class's relevant detections. The collar baseline
+bisects the same index for onsets within the collar.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import UnknownClassLabel
-from .events import CollarParams, Dataset, Event, EvalParams, EventSet, total_intersection
+from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex
 
 __all__ = [
     "CountsMatrix",
@@ -76,11 +86,9 @@ class CountsMatrix:
         return sum(self.n_gt[c] for c in self.classes)
 
 
-def _by_file(events: Sequence[Event]) -> dict[str, list[Event]]:
-    groups: dict[str, list[Event]] = {}
-    for ev in events:
-        groups.setdefault(ev.file_id, []).append(ev)
-    return groups
+def _covered(index: OnsetIndex, x: Event) -> float:
+    """Overlap of ``x`` with the indexed events of its file, all classes together."""
+    return sum(index.coverage(x).values())
 
 
 def dtc_filter(
@@ -94,12 +102,11 @@ def dtc_filter(
     truth covers at least ``dtc_threshold`` of the detection's duration.
     Returns ``(relevant, false_positives)``, a partition of ``dets_c``.
     """
-    gt_groups = _by_file(gt_c)
+    index = OnsetIndex(gt_c)
     relevant: list[Event] = []
     fps: list[Event] = []
     for det in dets_c:
-        covered = total_intersection(det, gt_groups.get(det.file_id, ()))
-        if covered / det.duration >= dtc_threshold:
+        if _covered(index, det) / det.duration >= dtc_threshold:
             relevant.append(det)
         else:
             fps.append(det)
@@ -116,13 +123,8 @@ def gtc_select(
     The returned events are the class's true positives. Several split
     detections may jointly cover one ground truth.
     """
-    det_groups = _by_file(relevant_c)
-    hits: list[Event] = []
-    for gt in gt_c:
-        covered = total_intersection(gt, det_groups.get(gt.file_id, ()))
-        if covered / gt.duration >= gtc_threshold:
-            hits.append(gt)
-    return hits
+    index = OnsetIndex(relevant_c)
+    return [gt for gt in gt_c if _covered(index, gt) / gt.duration >= gtc_threshold]
 
 
 def cttc_count(
@@ -139,27 +141,45 @@ def cttc_count(
     cross-trigger several classes. Only classes with a non-zero count
     appear in the result.
     """
-    counts: dict[str, int] = {}
-    for other in ground_truth.class_labels:
-        if other == class_label:
-            continue
-        gt_groups = _by_file(ground_truth.for_class(other))
-        hits = 0
-        for fp in fps_c:
-            covered = total_intersection(fp, gt_groups.get(fp.file_id, ()))
-            if covered / fp.duration >= cttc_threshold:
-                hits += 1
-        if hits:
-            counts[other] = hits
-    return counts
+    others = [c for c in ground_truth.class_labels if c != class_label]
+    counts = dict.fromkeys(others, 0)
+    for fp in fps_c:
+        coverage = ground_truth.onset_index.coverage(fp)
+        _cross_trigger(fp, class_label, coverage, cttc_threshold, counts)
+    return {c: n for c, n in counts.items() if n}
 
 
-def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> CountsMatrix:
-    """Run the three tolerance criteria for every class and collect counts.
+def _cross_trigger(
+    fp: Event,
+    class_label: str,
+    coverage: Mapping[str, float],
+    cttc_threshold: float,
+    counts: dict[str, int],
+) -> None:
+    """Add one to ``counts[other]`` for every class the false positive cross-triggers.
 
-    Classes come from the ground truth; classes with no detections get zero
-    system counts. Detections labelled outside the ground-truth class set
-    are rejected.
+    ``coverage`` is the false positive's coverage record. With a zero
+    threshold every other class counts, overlap or not; otherwise only
+    classes with coverage can reach the threshold.
+    """
+    if cttc_threshold == 0:
+        for other in counts:
+            counts[other] += 1
+        return
+    for other, covered in coverage.items():
+        if other != class_label and covered / fp.duration >= cttc_threshold:
+            counts[other] += 1
+
+
+def _tabulate(
+    detections: EventSet,
+    dataset: Dataset,
+    count: Callable[[tuple[str, ...], dict[str, dict[str, int]]], tuple[dict, dict]],
+) -> CountsMatrix:
+    """Check detection labels, run ``count`` over the classes, assemble the matrix.
+
+    ``count`` gets the classes and a zeroed cross-trigger matrix to fill,
+    and returns the ``n_tp`` and ``n_fp`` mappings.
     """
     classes = dataset.classes
     universe = set(classes)
@@ -168,25 +188,47 @@ def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> 
             raise UnknownClassLabel(
                 f"detection label '{det.class_label}' is not a ground-truth class"
             )
-    n_gt: dict[str, int] = {}
-    n_sys: dict[str, int] = {}
-    n_tp: dict[str, int] = {}
-    n_fp: dict[str, int] = {}
-    ct: dict[str, dict[str, int]] = {}
-    for c in classes:
-        gt_c = dataset.ground_truth.for_class(c)
-        dets_c = detections.for_class(c)
-        relevant, fps = dtc_filter(dets_c, gt_c, params.dtc_threshold)
-        hits = gtc_select(gt_c, relevant, params.gtc_threshold)
-        sparse_ct = cttc_count(fps, c, dataset.ground_truth, params.cttc_threshold)
-        n_gt[c] = len(gt_c)
-        n_sys[c] = len(dets_c)
-        n_tp[c] = len(hits)
-        n_fp[c] = len(fps)
-        ct[c] = {other: sparse_ct.get(other, 0) for other in classes if other != c}
+    ct = {c: {other: 0 for other in classes if other != c} for c in classes}
+    n_tp, n_fp = count(classes, ct)
     return CountsMatrix(
-        classes=classes, n_gt=n_gt, n_sys=n_sys, n_tp=n_tp, n_fp=n_fp, cross_triggers=ct
+        classes=classes,
+        n_gt={c: len(dataset.ground_truth.for_class(c)) for c in classes},
+        n_sys={c: len(detections.for_class(c)) for c in classes},
+        n_tp=n_tp,
+        n_fp=n_fp,
+        cross_triggers=ct,
     )
+
+
+def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> CountsMatrix:
+    """Run the three tolerance criteria for every class and collect counts.
+
+    Classes come from the ground truth; classes with no detections get zero
+    system counts. Detections labelled outside the ground-truth class set
+    are rejected. One coverage lookup per detection, in the index cached on
+    the dataset's ground truth, gives both its DTC verdict and its
+    cross-triggers.
+    """
+
+    def count(classes: tuple[str, ...], ct: dict[str, dict[str, int]]) -> tuple[dict, dict]:
+        gt_index = dataset.ground_truth.onset_index
+        relevant: dict[str, list[Event]] = {c: [] for c in classes}
+        n_fp = dict.fromkeys(classes, 0)
+        for det in detections:
+            c = det.class_label
+            coverage = gt_index.coverage(det)
+            if coverage.get(c, 0) / det.duration >= params.dtc_threshold:
+                relevant[c].append(det)
+            else:
+                n_fp[c] += 1
+                _cross_trigger(det, c, coverage, params.cttc_threshold, ct[c])
+        n_tp = {
+            c: len(gtc_select(dataset.ground_truth.for_class(c), relevant[c], params.gtc_threshold))
+            for c in classes
+        }
+        return n_tp, n_fp
+
+    return _tabulate(detections, dataset, count)
 
 
 def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
@@ -201,6 +243,22 @@ def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
     return True
 
 
+def _onset_window(index: OnsetIndex, x: Event, collar: float) -> list[Event]:
+    """Indexed events of ``x``'s file whose onsets may lie within ``collar`` of ``x``'s.
+
+    The window is widened by a relative 1e-9, far more than the rounding
+    of ``a - b`` in :func:`_collar_hit`, so rounding never drops a
+    candidate; the caller re-checks each one.
+    """
+    span = index.spans.get(x.file_id)
+    if span is None:
+        return []
+    reach = collar + (x.onset + collar) * 1e-9
+    lo = bisect_left(index.onsets, x.onset - reach, *span)
+    hi = bisect_right(index.onsets, x.onset + reach, lo, span[1])
+    return [index.events[i] for i in index.order[lo:hi]]
+
+
 def collar_match(
     dets_c: Sequence[Event],
     gt_c: Sequence[Event],
@@ -213,44 +271,31 @@ def collar_match(
     a false positive if it lands within no ground truth's collars. One
     detection may validate several ground truths and vice versa.
     """
-    det_groups = _by_file(dets_c)
-    gt_groups = _by_file(gt_c)
+    det_index = OnsetIndex(dets_c)
+    gt_index = OnsetIndex(gt_c)
     n_tp = sum(
         1
         for gt in gt_c
-        if any(_collar_hit(det, gt, collar) for det in det_groups.get(gt.file_id, ()))
+        if any(_collar_hit(det, gt, collar) for det in _onset_window(det_index, gt, collar.collar))
     )
     n_fp = sum(
         1
         for det in dets_c
-        if not any(_collar_hit(det, gt, collar) for gt in gt_groups.get(det.file_id, ()))
+        if not any(
+            _collar_hit(det, gt, collar) for gt in _onset_window(gt_index, det, collar.collar)
+        )
     )
     return n_tp, n_fp
 
 
 def collar_counts(detections: EventSet, dataset: Dataset, collar: CollarParams) -> CountsMatrix:
     """Collar-baseline counts for every class, in CountsMatrix form."""
-    classes = dataset.classes
-    universe = set(classes)
-    for det in detections:
-        if det.class_label not in universe:
-            raise UnknownClassLabel(
-                f"detection label '{det.class_label}' is not a ground-truth class"
-            )
-    n_gt: dict[str, int] = {}
-    n_sys: dict[str, int] = {}
-    n_tp: dict[str, int] = {}
-    n_fp: dict[str, int] = {}
-    ct: dict[str, dict[str, int]] = {}
-    for c in classes:
-        gt_c = dataset.ground_truth.for_class(c)
-        dets_c = detections.for_class(c)
-        tp, fp = collar_match(dets_c, gt_c, collar)
-        n_gt[c] = len(gt_c)
-        n_sys[c] = len(dets_c)
-        n_tp[c] = tp
-        n_fp[c] = fp
-        ct[c] = {other: 0 for other in classes if other != c}
-    return CountsMatrix(
-        classes=classes, n_gt=n_gt, n_sys=n_sys, n_tp=n_tp, n_fp=n_fp, cross_triggers=ct
-    )
+
+    def count(classes: tuple[str, ...], ct: dict[str, dict[str, int]]) -> tuple[dict, dict]:
+        matched = {
+            c: collar_match(detections.for_class(c), dataset.ground_truth.for_class(c), collar)
+            for c in classes
+        }
+        return {c: tp for c, (tp, _) in matched.items()}, {c: fp for c, (_, fp) in matched.items()}
+
+    return _tabulate(detections, dataset, count)

@@ -11,7 +11,11 @@ detects nothing.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .events import EvalParams
@@ -51,8 +55,12 @@ class ClassCurve:
     class_label: str
     breakpoints: tuple[tuple[float, float], ...]
 
+    @cached_property
+    def _efprs(self) -> tuple[float, ...]:
+        return tuple(e for e, _ in self.breakpoints)
+
     def value_at(self, efpr: float) -> float:
-        idx = bisect.bisect_right([e for e, _ in self.breakpoints], efpr)
+        idx = bisect.bisect_right(self._efprs, efpr)
         if idx == 0:
             return 0.0
         return self.breakpoints[idx - 1][1]
@@ -86,13 +94,17 @@ def pareto_filter(points: Sequence[OpPoint]) -> list[OpPoint]:
     ratio at an equal or lower eFPR; nobody would ever pick it in practice.
     The survivors, sorted by eFPR, have non-decreasing TP ratio. Applying
     the filter twice changes nothing.
+
+    One sort plus a running maximum of the TP ratio over all points at or
+    below each eFPR, so the cost is O(P log P).
     """
-    kept = [
-        p
-        for p in points
-        if not any(q.tp_ratio > p.tp_ratio and q.efpr <= p.efpr for q in points)
-    ]
-    kept.sort(key=lambda p: (p.efpr, p.tp_ratio, p.op_id))
+    ordered = sorted(points, key=lambda p: (p.efpr, p.tp_ratio, p.op_id))
+    kept: list[OpPoint] = []
+    best = -math.inf
+    for _, group in groupby(ordered, key=attrgetter("efpr")):
+        group = list(group)
+        best = max(best, group[-1].tp_ratio)  # a group ascends in TP ratio
+        kept.extend(p for p in group if p.tp_ratio >= best)
     return kept
 
 
