@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on a data error (bad table, unknown file,
-label outside the class set, ...), 2 on a usage error.
+label outside the class set, ...), 2 on a usage error, including a
+parameter that :class:`EvalParams` or :class:`CollarParams` rejects.
 """
 
 from __future__ import annotations
@@ -26,48 +27,27 @@ from .psdroc import psd_roc_from_rates
 from .rates import compute_rates, f1_scores
 
 
-def _ratio(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {raw}")
-    return value
-
-
-def _nonneg(raw: str) -> float:
-    value = float(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
-    return value
-
-
-def _positive(raw: str) -> float:
-    value = float(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {raw}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--gt", required=True, type=Path, help="ground-truth event table (TSV)")
     common.add_argument(
         "--durations", required=True, type=Path, help="per-file durations table (TSV)"
     )
-    common.add_argument("--dtc", type=_ratio, default=0.5, help="detection tolerance (default 0.5)")
+    common.add_argument("--dtc", type=float, default=0.5, help="detection tolerance (default 0.5)")
     common.add_argument(
-        "--gtc", type=_ratio, default=0.5, help="ground-truth tolerance (default 0.5)"
+        "--gtc", type=float, default=0.5, help="ground-truth tolerance (default 0.5)"
     )
     common.add_argument(
-        "--cttc", type=_ratio, default=0.3, help="cross-trigger tolerance (default 0.3)"
+        "--cttc", type=float, default=0.3, help="cross-trigger tolerance (default 0.3)"
     )
     common.add_argument(
-        "--alpha-ct", type=_nonneg, default=0.0, help="cross-trigger cost weight (default 0)"
+        "--alpha-ct", type=float, default=0.0, help="cross-trigger cost weight (default 0)"
     )
     common.add_argument(
-        "--alpha-st", type=_nonneg, default=0.0, help="instability cost weight (default 0)"
+        "--alpha-st", type=float, default=0.0, help="instability cost weight (default 0)"
     )
     common.add_argument(
-        "--emax", type=_positive, default=100.0, help="eFPR budget in rate units (default 100)"
+        "--emax", type=float, default=100.0, help="eFPR budget in rate units (default 100)"
     )
     common.add_argument(
         "--unit",
@@ -100,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_f1.add_argument("--det", required=True, type=Path, help="detection table (TSV)")
     p_f1.add_argument(
         "--collar",
-        type=_nonneg,
+        type=float,
         default=None,
         help="switch to collar matching with this onset collar in seconds",
     )
     p_f1.add_argument(
         "--collar-ratio",
-        type=_nonneg,
+        type=float,
         default=None,
         help="offset collar as a fraction of each ground truth's duration (default 0.2)",
     )
@@ -149,8 +129,17 @@ def _load_detections(args: argparse.Namespace, dataset):
     )
 
 
-def _run(args: argparse.Namespace) -> dict:
-    params = _eval_params(args)
+def _collar_params(args: argparse.Namespace) -> CollarParams | None:
+    if getattr(args, "collar", None) is None:
+        return None
+    return CollarParams(
+        collar=args.collar,
+        offset_ratio=0.2 if args.collar_ratio is None else args.collar_ratio,
+        check_offset=not args.no_offset_check,
+    )
+
+
+def _run(args: argparse.Namespace, params: EvalParams, collar: CollarParams | None) -> dict:
     dataset = load_dataset(args.gt, args.durations)
     clamp = not args.no_clamp
 
@@ -162,13 +151,7 @@ def _run(args: argparse.Namespace) -> dict:
 
     if args.command == "f1":
         detections = _load_detections(args, dataset)
-        collar = None
-        if args.collar is not None:
-            collar = CollarParams(
-                collar=args.collar,
-                offset_ratio=0.2 if args.collar_ratio is None else args.collar_ratio,
-                check_offset=not args.no_offset_check,
-            )
+        if collar is not None:
             counts = collar_counts(detections, dataset, collar)
         else:
             counts = count_matrix(detections, dataset, params)
@@ -187,7 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.collar_ratio is not None or args.no_offset_check:
             parser.error("--collar-ratio and --no-offset-check require --collar")
     try:
-        report = _run(args)
+        params, collar = _eval_params(args), _collar_params(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        report = _run(args, params, collar)
     except (SedScoreError, OSError) as exc:
         print(f"sedscore: error: {exc}", file=sys.stderr)
         return 1

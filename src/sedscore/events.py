@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     EventExceedsFileDuration,
@@ -70,10 +70,13 @@ class Event:
 
     def __post_init__(self) -> None:
         if self.onset < 0:
-            raise NegativeOnset(f"event onset {self.onset} is negative")
+            raise NegativeOnset(
+                f"onset {self.onset} of '{self.class_label}' in '{self.file_id}' is negative"
+            )
         if not self.offset > self.onset:
             raise NonPositiveDuration(
-                f"event [{self.onset}, {self.offset}] has non-positive duration"
+                f"event '{self.class_label}' [{self.onset}, {self.offset}] in "
+                f"'{self.file_id}' has non-positive duration"
             )
 
     @property
@@ -169,11 +172,11 @@ class OnsetIndex:
 
 @dataclass(frozen=True)
 class EventSet:
-    """An immutable collection of events with class and file indexes.
+    """An immutable collection of events with a class index.
 
-    Event order is preserved from construction; the class and file indexes
-    are plain projections of the event tuple and keep that relative order,
-    while ``onset_index`` sorts by file and onset for overlap lookups.
+    Event order is preserved from construction; the class index is a plain
+    projection of the event tuple and keeps that relative order, while
+    ``onset_index`` sorts by file and onset for overlap lookups.
     """
 
     events: tuple[Event, ...]
@@ -188,13 +191,6 @@ class EventSet:
         for ev in self.events:
             index.setdefault(ev.class_label, []).append(ev)
         return {label: tuple(evs) for label, evs in index.items()}
-
-    @cached_property
-    def by_file(self) -> Mapping[str, tuple[Event, ...]]:
-        index: dict[str, list[Event]] = {}
-        for ev in self.events:
-            index.setdefault(ev.file_id, []).append(ev)
-        return {file_id: tuple(evs) for file_id, evs in index.items()}
 
     @cached_property
     def onset_index(self) -> OnsetIndex:
@@ -217,11 +213,29 @@ class EventSet:
         return iter(self.events)
 
 
-def _row_fields(row: object) -> tuple[str, float, float, str, int | None]:
+def _row_event(row: object) -> Event:
     if isinstance(row, Event):
-        return row.file_id, row.onset, row.offset, row.class_label, None
+        return row
     file_id, onset, offset, label = tuple(row)[:4]  # type: ignore[call-overload]
-    return str(file_id), float(onset), float(offset), str(label), getattr(row, "line", None)
+    return Event(str(file_id), float(onset), float(offset), str(label))
+
+
+def _check_placement(
+    ev: Event, file_durations: Mapping[str, float], allowed: frozenset[str] | None = None
+) -> None:
+    """Check that ``ev`` lies within a known file and, given ``allowed``, has an allowed label."""
+    file_duration = file_durations.get(ev.file_id)
+    if file_duration is None:
+        raise UnknownFile(f"no duration entry for file '{ev.file_id}'")
+    if ev.offset > file_duration:
+        raise EventExceedsFileDuration(
+            f"event '{ev.class_label}' ends at {ev.offset} but file '{ev.file_id}' lasts "
+            f"{file_duration}"
+        )
+    if allowed is not None and ev.class_label not in allowed:
+        raise UnknownClassLabel(
+            f"label '{ev.class_label}' in '{ev.file_id}' is not a ground-truth class"
+        )
 
 
 def _where(source: str | None, line: int | None) -> str:
@@ -244,12 +258,12 @@ def validate_events(
 
     ``rows`` may be ``Event`` objects or ``(file_id, onset, offset, label)``
     sequences; rows with a ``line`` attribute (as produced by the table
-    parser) get that line echoed in error messages. Every event must
-    reference a known file, start at or after zero, have strictly positive
-    duration, and end no later than its file does. When ``allowed_classes``
-    is given (detections), labels outside it are rejected; labels outside
-    the ground truth would otherwise silently score as pure false positives
-    and hide file mix-ups.
+    parser) get that line, and ``source``, appended to the error message.
+    Each row becomes an :class:`Event`, which checks its own onset and
+    duration; then it must reference a known file and end no later than
+    that file does. When ``allowed_classes`` is given (detections), labels
+    outside it are rejected; labels outside the ground truth would
+    otherwise silently score as pure false positives and hide file mix-ups.
 
     Validation is idempotent: feeding back the events of a valid EventSet
     reproduces it exactly.
@@ -258,28 +272,15 @@ def validate_events(
         rows = rows.events
     allowed = None if allowed_classes is None else frozenset(allowed_classes)
     out: list[Event] = []
-    for row in rows:
-        file_id, onset, offset, label, line = _row_fields(row)
-        where = _where(source, line)
-        if file_id not in file_durations:
-            raise UnknownFile(f"no duration entry for file '{file_id}'{where}")
-        if onset < 0:
-            raise NegativeOnset(f"onset {onset} of '{label}' in '{file_id}' is negative{where}")
-        if not offset > onset:
-            raise NonPositiveDuration(
-                f"event '{label}' [{onset}, {offset}] in '{file_id}' has "
-                f"non-positive duration{where}"
-            )
-        if offset > file_durations[file_id]:
-            raise EventExceedsFileDuration(
-                f"event '{label}' ends at {offset} but file '{file_id}' lasts "
-                f"{file_durations[file_id]}{where}"
-            )
-        if allowed is not None and label not in allowed:
-            raise UnknownClassLabel(
-                f"label '{label}' in '{file_id}' is not a ground-truth class{where}"
-            )
-        out.append(Event(file_id, onset, offset, label))
+    line = None
+    try:
+        for row in rows:
+            line = getattr(row, "line", None)
+            ev = _row_event(row)
+            _check_placement(ev, file_durations, allowed)
+            out.append(ev)
+    except ValidationError as exc:
+        raise type(exc)(f"{exc}{_where(source, line)}") from None
     return EventSet(tuple(out))
 
 
@@ -305,13 +306,7 @@ class Dataset:
         if not self.ground_truth.events:
             raise ValidationError("ground truth contains no events; class set would be empty")
         for ev in self.ground_truth.events:
-            if ev.file_id not in durations:
-                raise UnknownFile(f"ground-truth event references unknown file '{ev.file_id}'")
-            if ev.offset > durations[ev.file_id]:
-                raise EventExceedsFileDuration(
-                    f"ground-truth event ends at {ev.offset} but file "
-                    f"'{ev.file_id}' lasts {durations[ev.file_id]}"
-                )
+            _check_placement(ev, durations)
 
     @cached_property
     def total_duration(self) -> float:
@@ -331,9 +326,17 @@ class Dataset:
         return totals
 
 
-def _check_ratio(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+_UNIT_INTERVAL = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+_POSITIVE = ("> 0", lambda v: v > 0)
+
+
+def _check_fields(params: object, **rules: tuple[str, Callable[[float], bool]]) -> None:
+    """Raise ``ValueError`` naming the first field that is NaN, infinite or out of range."""
+    for name, (rule, ok) in rules.items():
+        value = getattr(params, name)
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -353,15 +356,15 @@ class EvalParams:
     time_unit: TimeUnit = TimeUnit.HOUR
 
     def __post_init__(self) -> None:
-        _check_ratio("dtc_threshold", self.dtc_threshold)
-        _check_ratio("gtc_threshold", self.gtc_threshold)
-        _check_ratio("cttc_threshold", self.cttc_threshold)
-        if self.alpha_ct < 0:
-            raise ValueError(f"alpha_ct must be >= 0, got {self.alpha_ct}")
-        if self.alpha_st < 0:
-            raise ValueError(f"alpha_st must be >= 0, got {self.alpha_st}")
-        if not self.max_efpr > 0:
-            raise ValueError(f"max_efpr must be > 0, got {self.max_efpr}")
+        _check_fields(
+            self,
+            dtc_threshold=_UNIT_INTERVAL,
+            gtc_threshold=_UNIT_INTERVAL,
+            cttc_threshold=_UNIT_INTERVAL,
+            alpha_ct=_NON_NEGATIVE,
+            alpha_st=_NON_NEGATIVE,
+            max_efpr=_POSITIVE,
+        )
         if not isinstance(self.time_unit, TimeUnit):
             object.__setattr__(self, "time_unit", TimeUnit(self.time_unit))
 
@@ -380,7 +383,4 @@ class CollarParams:
     check_offset: bool = True
 
     def __post_init__(self) -> None:
-        if self.collar < 0:
-            raise ValueError(f"collar must be >= 0, got {self.collar}")
-        if self.offset_ratio < 0:
-            raise ValueError(f"offset_ratio must be >= 0, got {self.offset_ratio}")
+        _check_fields(self, collar=_NON_NEGATIVE, offset_ratio=_NON_NEGATIVE)

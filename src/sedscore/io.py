@@ -1,10 +1,11 @@
 """Table parsing, sweep orchestration and report emission.
 
 Event lists follow the DCASE community convention: UTF-8 tab-separated
-values with a mandatory header, one event per row, decimal seconds. A
-sweep is a directory with one detection table per operating point; the
-file stem names the operating point. Parsing is strict and fail-fast so a
-half-read sweep can never silently skew a score.
+values with a mandatory header, one event per row, decimal seconds. The
+loaders skip a leading byte-order mark, which spreadsheet exports often
+carry. A sweep is a directory with one detection table per operating
+point; the file stem names the operating point. Parsing is strict and
+fail-fast so a half-read sweep can never silently skew a score.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import BadRow, MalformedHeader, NoOperatingPoints
 from .events import CollarParams, Dataset, EvalParams, validate_events
 from .matching import CountsMatrix, count_matrix
-from .psdroc import PsdRoc
+from .psdroc import ClassCurve, PsdRoc
 from .rates import ClassRates, F1Report
 
 __all__ = [
@@ -131,12 +132,12 @@ def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, 
 
 def load_event_table(path: str | Path) -> list[TableRow]:
     path = Path(path)
-    return parse_event_table(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_event_table(path.read_text(encoding="utf-8-sig"), source=str(path))
 
 
 def load_durations(path: str | Path) -> dict[str, float]:
     path = Path(path)
-    return parse_durations_table(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_durations_table(path.read_text(encoding="utf-8-sig"), source=str(path))
 
 
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
@@ -417,19 +418,8 @@ def _tsv_report(report: dict) -> str:
         blocks.append(_table_block("psd_roc", ("efpr", "etpr"), report["psd_roc"]))
     if "class_rocs" in report:
         classes = sorted(report["class_rocs"])
-        grid = [e for e, _ in report["psd_roc"]]
-        rows = []
-        for e in grid:
-            held = []
-            for c in classes:
-                value = 0.0
-                for be, bv in report["class_rocs"][c]:
-                    if be <= e:
-                        value = bv
-                    else:
-                        break
-                held.append(value)
-            rows.append([e, *held])
+        curves = [ClassCurve(c, tuple(report["class_rocs"][c])) for c in classes]
+        rows = [[e, *(curve.value_at(e) for curve in curves)] for e, _ in report["psd_roc"]]
         blocks.append(
             _table_block(
                 "class_roc",

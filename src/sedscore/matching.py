@@ -182,12 +182,10 @@ def _tabulate(
     and returns the ``n_tp`` and ``n_fp`` mappings.
     """
     classes = dataset.classes
-    universe = set(classes)
-    for det in detections:
-        if det.class_label not in universe:
-            raise UnknownClassLabel(
-                f"detection label '{det.class_label}' is not a ground-truth class"
-            )
+    unknown = detections.by_class.keys() - set(classes)
+    if unknown:
+        labels = ", ".join(f"'{label}'" for label in sorted(unknown))
+        raise UnknownClassLabel(f"detection labels outside the ground-truth class set: {labels}")
     ct = {c: {other: 0 for other in classes if other != c} for c in classes}
     n_tp, n_fp = count(classes, ct)
     return CountsMatrix(

@@ -133,8 +133,8 @@ def integrate_psds(points: Sequence[tuple[float, float]], max_efpr: float) -> fl
     first point and holds the last value up to ``max_efpr``. Piecewise
     constant, so there is no quadrature error.
     """
-    if not max_efpr > 0:
-        raise ValueError(f"max_efpr must be > 0, got {max_efpr}")
+    if not 0 < max_efpr < math.inf:
+        raise ValueError(f"max_efpr must be finite and > 0, got {max_efpr}")
     area = 0.0
     prev_e, prev_v = 0.0, 0.0
     for e, v in points:
@@ -165,8 +165,6 @@ def merge_psd_roc(
     """
     if not curves:
         raise ValueError("merge_psd_roc needs at least one class curve")
-    if not max_efpr > 0:
-        raise ValueError(f"max_efpr must be > 0, got {max_efpr}")
     grid = {0.0, max_efpr}
     for curve in curves.values():
         grid.update(e for e, _ in curve.breakpoints if e <= max_efpr)

@@ -99,6 +99,25 @@ class TestCounts:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("f1", ["--collar", "nan"]),
+        ("psds", ["--emax", "inf"]),
+        ("psds", ["--alpha-st", "nan"]),
+    ],
+    ids=["f1-collar-nan", "psds-emax-inf", "psds-alpha-st-nan"],
+)
+def test_non_finite_parameter_is_usage_error(workspace, capsys, command, flags):
+    target = ["--det", workspace / "det.tsv"] if command == "f1" else ["--det-dir", workspace / "ops"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in [command, *common(workspace), *target, *flags]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
 class TestF1:
     def test_intersection_beats_collar_on_split_detections(self, workspace, capsys):
         code, out = run(capsys, "f1", *common(workspace), "--det", workspace / "det.tsv")

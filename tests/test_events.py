@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -85,6 +86,13 @@ class TestEventInvariants:
         with pytest.raises(NegativeOnset):
             ev(-1.0, 2.0)
 
+    @pytest.mark.parametrize("onset, offset", [(-1.0, 2.0), (3.0, 3.0)])
+    def test_error_names_file_and_label(self, onset, offset):
+        with pytest.raises(ValidationError) as err:
+            ev(onset, offset, file_id="clip_7", label="siren")
+        assert "'clip_7'" in str(err.value)
+        assert "'siren'" in str(err.value)
+
 
 class TestValidateEvents:
     DUR = {"f1": 10.0}
@@ -135,7 +143,6 @@ class TestEventSet:
         ]
         es = validate_events(rows, {"f1": 10.0, "f2": 10.0})
         assert sum(len(v) for v in es.by_class.values()) == len(es)
-        assert sum(len(v) for v in es.by_file.values()) == len(es)
         assert es.class_labels == ("cat", "dog")
         assert [e.file_id for e in es.for_class("cat")] == ["f2", "f1"]
         assert es.for_class("cow") == ()
@@ -153,6 +160,11 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(EventSet(()), {"f1": 10.0})
 
+    def test_rejects_gt_event_in_unknown_file(self):
+        gt = EventSet((Event("f9", 0.0, 1.0, "dog"),))
+        with pytest.raises(UnknownFile, match="'f9'"):
+            Dataset(gt, {"f1": 10.0})
+
     def test_rejects_gt_event_beyond_file(self):
         gt = EventSet((Event("f1", 0.0, 20.0, "dog"),))
         with pytest.raises(EventExceedsFileDuration):
@@ -162,6 +174,9 @@ class TestDataset:
         gt = EventSet((Event("f1", 0.0, 1.0, "dog"),))
         with pytest.raises(ValidationError):
             Dataset(gt, {"f1": 10.0, "f2": 0.0})
+
+
+FIELDS = ("dtc_threshold", "gtc_threshold", "cttc_threshold", "alpha_ct", "alpha_st", "max_efpr")
 
 
 class TestParams:
@@ -180,6 +195,11 @@ class TestParams:
             {"alpha_ct": -1.0},
             {"alpha_st": -0.5},
             {"max_efpr": 0.0},
+            *(
+                {field: value}
+                for field in FIELDS
+                for value in (math.nan, math.inf, -math.inf)
+            ),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -196,3 +216,6 @@ class TestParams:
             CollarParams(collar=-0.1)
         with pytest.raises(ValueError):
             CollarParams(collar=0.2, offset_ratio=-1.0)
+        for kwargs in ({"collar": math.nan}, {"collar": math.inf}, {"offset_ratio": math.nan}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                CollarParams(**{"collar": 0.2, **kwargs})

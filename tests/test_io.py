@@ -11,10 +11,13 @@ from sedscore import (
     BadRow,
     Dataset,
     EvalParams,
+    EventExceedsFileDuration,
     MalformedHeader,
+    NegativeOnset,
     NoOperatingPoints,
     NonPositiveDuration,
     UnknownClassLabel,
+    UnknownFile,
     parse_durations_table,
     parse_event_table,
     sweep_operating_points,
@@ -24,8 +27,11 @@ from sedscore.io import (
     build_counts_report,
     build_f1_report,
     build_psds_report,
+    TableRow,
     emit_report,
     load_dataset,
+    load_durations,
+    load_event_table,
 )
 from sedscore.matching import count_matrix
 from sedscore.psdroc import psd_roc_from_rates
@@ -121,6 +127,11 @@ def write_tables(tmp_path, gt_rows, durations):
     return gt, dur
 
 
+def add_byte_order_mark(path):
+    """Prefix a table with the UTF-8 byte-order mark spreadsheet exports write."""
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+
+
 def write_detections(path, rows):
     path.write_text(
         HEADER + "\n" + "".join(f"{f}\t{a}\t{b}\t{c}\n" for f, a, b, c in rows),
@@ -138,12 +149,33 @@ class TestLoadDataset:
         assert dataset.total_duration == 90.0
         assert dataset.classes == ("dog",)
 
-    def test_gt_error_names_file_and_line(self, tmp_path):
-        gt, dur = write_tables(tmp_path, [("f1", 5.0, 2.0, "dog")], {"f1": 60.0})
-        with pytest.raises(NonPositiveDuration) as err:
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (("f9", 0.0, 1.0, "dog"), UnknownFile),
+            (("f1", -1.0, 1.0, "dog"), NegativeOnset),
+            (("f1", 2.0, 2.0, "dog"), NonPositiveDuration),
+            (("f1", 5.0, 2.0, "dog"), NonPositiveDuration),
+            (("f1", 50.0, 61.0, "dog"), EventExceedsFileDuration),
+        ],
+        ids=["unknown-file", "negative-onset", "zero-duration", "inverted", "past-end"],
+    )
+    def test_gt_error_names_file_and_line(self, tmp_path, row, error):
+        gt, dur = write_tables(tmp_path, [row], {"f1": 60.0})
+        with pytest.raises(error) as err:
             load_dataset(gt, dur)
         assert "gt.tsv" in str(err.value)
         assert "line 2" in str(err.value)
+
+    def test_event_table_byte_order_mark_is_skipped(self, tmp_path):
+        gt, _ = write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0})
+        add_byte_order_mark(gt)
+        assert load_event_table(gt) == [TableRow("f1", 0.0, 10.0, "dog", 2)]
+
+    def test_durations_byte_order_mark_is_skipped(self, tmp_path):
+        _, dur = write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0})
+        add_byte_order_mark(dur)
+        assert load_durations(dur) == {"f1": 60.0}
 
 
 class TestSweep:
