@@ -92,11 +92,7 @@ def intersection_duration(a: Event, b: Event) -> float:
     """
     if a.file_id != b.file_id:
         return 0.0
-    # min(offsets) - max(onsets), written out: builtin calls dominate the
-    # cost of this function in the matching loops
-    overlap = (a.offset if a.offset <= b.offset else b.offset) - (
-        a.onset if a.onset >= b.onset else b.onset
-    )
+    overlap = min(a.offset, b.offset) - max(a.onset, b.onset)
     return overlap if overlap > 0 else 0.0
 
 
@@ -140,34 +136,52 @@ class OnsetIndex:
             self.run_max_offset.append(top)
             self.spans[file_id] = (start, slot + 1)
 
-    def coverage(self, x: Event) -> dict[str, float]:
-        """Summed overlap of ``x`` with the indexed events of each class.
+    def overlaps(self, x: Event) -> list[tuple[int, float]]:
+        """``(input position, overlap)`` of each indexed event that overlaps ``x``.
 
-        Only events of ``x``'s file and classes with a non-zero overlap
-        count. Each sum runs over the non-zero overlaps in input order;
-        adding zeros never changes a float sum, so the values equal
-        :func:`total_intersection` over the class's events, bit for bit.
+        Only events of ``x``'s file with a positive overlap appear, in
+        ascending input position. Each overlap is the value
+        :func:`intersection_duration` gives, with ``min`` and ``max`` written
+        out: builtin calls would dominate the cost of this loop.
         """
         span = self.spans.get(x.file_id)
         if span is None:
-            return {}
-        lo = bisect_right(self.run_max_offset, x.onset, *span)
-        hi = bisect_left(self.onsets, x.offset, lo, span[1])
+            return []
+        onset, offset = x.onset, x.offset
+        lo = bisect_right(self.run_max_offset, onset, *span)
+        hi = bisect_left(self.onsets, offset, lo, span[1])
         events = self.events
-        if hi - lo == 1:
-            y = events[self.order[lo]]
-            overlap = intersection_duration(x, y)
-            return {y.class_label: overlap} if overlap > 0 else {}
-        parts: dict[str, list[float]] = {}
+        hits = []
         for i in sorted(self.order[lo:hi]):
             y = events[i]
-            overlap = intersection_duration(x, y)
+            overlap = (offset if offset <= y.offset else y.offset) - (
+                onset if onset >= y.onset else y.onset
+            )
             if overlap > 0:
-                if y.class_label in parts:
-                    parts[y.class_label].append(overlap)
-                else:
-                    parts[y.class_label] = [overlap]
-        return {label: sum(overlaps) for label, overlaps in parts.items()}
+                hits.append((i, overlap))
+        return hits
+
+    def coverage(self, x: Event) -> dict[str, float]:
+        """Summed overlap of ``x`` with the indexed events of each class.
+
+        Only classes with a non-zero overlap appear. Each sum runs over the
+        non-zero overlaps in input order; adding zeros never changes a
+        float sum, so the values equal :func:`total_intersection` over the
+        class's events, bit for bit.
+        """
+        return _class_sums(self.events, self.overlaps(x))
+
+
+def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> dict[str, float]:
+    """Fold :meth:`OnsetIndex.overlaps` hits into one ``sum()`` per class, in hit order."""
+    parts: dict[str, list[float]] = {}
+    for i, overlap in hits:
+        label = events[i].class_label
+        if label in parts:
+            parts[label].append(overlap)
+        else:
+            parts[label] = [overlap]
+    return {label: sum(overlaps) for label, overlaps in parts.items()}
 
 
 @dataclass(frozen=True)

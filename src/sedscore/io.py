@@ -61,23 +61,34 @@ def _parse_number(raw: str, what: str, line: int, source: str | None) -> float:
     return value
 
 
+def _data_lines(text: str, header: tuple[str, ...], source: str | None) -> list[str]:
+    """Check a table's exact header; return its data lines, trailing empty lines dropped.
+
+    An empty line between data rows stays, so the row parser reports it
+    with its line number.
+    """
+    lines = text.splitlines()
+    if not lines or tuple(lines[0].split("\t")) != header:
+        raise MalformedHeader(f"{source or '<input>'}:1: expected header '{chr(9).join(header)}'")
+    while not lines[-1]:
+        lines.pop()
+    return lines[1:]
+
+
 def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]:
     """Parse an event list. Strict: exact header, exactly four columns.
 
     Onset/offset must parse as finite numbers; semantic checks (ordering,
     file bounds) are left to validation so their errors carry dataset
-    context. A header-only table is valid and means an empty detection
-    set. Duplicate rows are kept: two identical detections are two
-    detections.
+    context. A label with leading or trailing whitespace is rejected, as
+    it would otherwise silently be a class of its own. A header-only
+    table is valid and means an empty detection set. Duplicate rows are
+    kept: two identical detections are two detections. Empty lines at the
+    end of the table are ignored.
     """
-    lines = text.splitlines()
     name = source or "<input>"
-    if not lines or tuple(lines[0].split("\t")) != EVENT_HEADER:
-        raise MalformedHeader(
-            f"{name}:1: expected header '{chr(9).join(EVENT_HEADER)}'"
-        )
     rows: list[TableRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(_data_lines(text, EVENT_HEADER, source), start=2):
         fields = line.split("\t")
         if len(fields) != 4:
             raise BadRow(
@@ -88,6 +99,10 @@ def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]
             raise BadRow(f"{name}:{lineno}: empty filename")
         if not label:
             raise BadRow(f"{name}:{lineno}: empty event_label")
+        if label != label.strip():
+            raise BadRow(
+                f"{name}:{lineno}: event_label {label!r} has leading or trailing whitespace"
+            )
         rows.append(
             TableRow(
                 filename=filename,
@@ -103,16 +118,12 @@ def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]
 def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, float]:
     """Parse a per-file durations table into a filename -> seconds map.
 
-    Filenames must be unique and durations strictly positive.
+    Filenames must be unique and durations strictly positive. Empty lines
+    at the end of the table are ignored.
     """
-    lines = text.splitlines()
     name = source or "<input>"
-    if not lines or tuple(lines[0].split("\t")) != DURATIONS_HEADER:
-        raise MalformedHeader(
-            f"{name}:1: expected header '{chr(9).join(DURATIONS_HEADER)}'"
-        )
     durations: dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(_data_lines(text, DURATIONS_HEADER, source), start=2):
         fields = line.split("\t")
         if len(fields) != 2:
             raise BadRow(

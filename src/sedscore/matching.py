@@ -16,14 +16,18 @@ detections, so one detection spanning k ground truths can yield k true
 positives, and k split detections covering one ground truth yield at most
 one.
 
-Every coverage sum comes from one kernel, :meth:`OnsetIndex.coverage`: the
+Every overlap comes from one kernel, :meth:`OnsetIndex.overlaps`: the
 events of each file sorted by onset, with a running maximum of offsets, so
 a lookup visits only the events that can overlap and counting costs close
 to linear time in the events per file. The ground-truth index is built
-lazily, once per dataset, on first use. One lookup per detection gives
-both its DTC verdict and its cross-triggers; GTC looks each ground truth
-up in an index of the class's relevant detections. The collar baseline
-bisects the same index for onsets within the collar.
+lazily, once per dataset, on first use. :func:`count_matrix` makes one
+lookup per detection and no other: the detection's own-class overlaps
+decide its DTC verdict; a relevant detection hands them on to the ground
+truths it touches, and a false positive folds its overlaps by class into
+its cross-triggers. GTC then sums, for each touched ground truth, the
+overlaps of the relevant detections in detection order, with no second
+index. The collar baseline bisects the same index for onsets within the
+collar.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import UnknownClassLabel
-from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex
+from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex, _class_sums
 
 __all__ = [
     "CountsMatrix",
@@ -88,7 +92,7 @@ class CountsMatrix:
 
 def _covered(index: OnsetIndex, x: Event) -> float:
     """Overlap of ``x`` with the indexed events of its file, all classes together."""
-    return sum(index.coverage(x).values())
+    return sum([overlap for _, overlap in index.overlaps(x)])
 
 
 def dtc_filter(
@@ -203,27 +207,36 @@ def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> 
 
     Classes come from the ground truth; classes with no detections get zero
     system counts. Detections labelled outside the ground-truth class set
-    are rejected. One coverage lookup per detection, in the index cached on
-    the dataset's ground truth, gives both its DTC verdict and its
-    cross-triggers.
+    are rejected. One overlap lookup per detection, in the index cached on
+    the dataset's ground truth, gives its DTC verdict, its share of every
+    ground truth's GTC coverage and its cross-triggers.
     """
 
     def count(classes: tuple[str, ...], ct: dict[str, dict[str, int]]) -> tuple[dict, dict]:
-        gt_index = dataset.ground_truth.onset_index
-        relevant: dict[str, list[Event]] = {c: [] for c in classes}
+        gt = dataset.ground_truth.events
+        overlaps = dataset.ground_truth.onset_index.overlaps
+        # ground-truth input position -> overlaps of relevant detections, in detection order
+        gt_hits: dict[int, list[float]] = {}
         n_fp = dict.fromkeys(classes, 0)
         for det in detections:
             c = det.class_label
-            coverage = gt_index.coverage(det)
-            if coverage.get(c, 0) / det.duration >= params.dtc_threshold:
-                relevant[c].append(det)
+            hits = overlaps(det)
+            own = [(i, overlap) for i, overlap in hits if gt[i].class_label == c]
+            if sum([overlap for _, overlap in own]) / det.duration >= params.dtc_threshold:
+                for i, overlap in own:
+                    if i in gt_hits:
+                        gt_hits[i].append(overlap)
+                    else:
+                        gt_hits[i] = [overlap]
             else:
                 n_fp[c] += 1
-                _cross_trigger(det, c, coverage, params.cttc_threshold, ct[c])
-        n_tp = {
-            c: len(gtc_select(dataset.ground_truth.for_class(c), relevant[c], params.gtc_threshold))
-            for c in classes
-        }
+                _cross_trigger(det, c, _class_sums(gt, hits), params.cttc_threshold, ct[c])
+        if params.gtc_threshold == 0:  # every ground truth counts, touched or not
+            return {c: len(dataset.ground_truth.for_class(c)) for c in classes}, n_fp
+        n_tp = dict.fromkeys(classes, 0)
+        for i, covering in gt_hits.items():
+            if sum(covering) / gt[i].duration >= params.gtc_threshold:
+                n_tp[gt[i].class_label] += 1
         return n_tp, n_fp
 
     return _tabulate(detections, dataset, count)

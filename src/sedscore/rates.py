@@ -8,6 +8,7 @@ normalized by the total labelled duration of the class being triggered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import fmean, pstdev
 from typing import Iterable, Mapping
@@ -69,7 +70,11 @@ def effective_tpr(tp_ratios: Iterable[float], alpha_st: float, *, clamp: bool = 
     standard deviation over classes (the class set is the whole population
     of interest). A negative result has no operational meaning, so it is
     clamped to zero unless ``clamp=False`` asks for the literal value.
+    ``alpha_st`` must be finite and non-negative: a NaN would be clamped
+    away into a silent 0, and a negative weight would reward instability.
     """
+    if not 0 <= alpha_st < math.inf:
+        raise ValueError(f"alpha_st must be finite and >= 0, got {alpha_st}")
     values = list(tp_ratios)
     if not values:
         raise ValueError("effective_tpr needs at least one class")

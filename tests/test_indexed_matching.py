@@ -4,10 +4,14 @@ Inputs are arbitrary floats, not decimal grids: endpoints are drawn from a
 small per-example pool (so touching and shared endpoints are common) mixed
 with free floats, over several files and classes, optionally with one very
 long ground truth among short ones. Every result is checked against an
-all-pairs definition that shares no code with the index.
+all-pairs definition that shares no code with the index, except that
+``count_matrix`` is also checked against its public wrappers on a
+threshold tie, where only the same summation order gives the same count.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +28,7 @@ from sedscore import (
     cttc_count,
     dtc_filter,
     gtc_select,
+    intersection_duration,
     pareto_filter,
     total_intersection,
 )
@@ -40,6 +45,7 @@ PROPERTY = settings(max_examples=250, deadline=None, derandomize=True)
 
 free_float = st.floats(min_value=0.0, max_value=FILE_SECONDS, allow_nan=False)
 pool_value = st.one_of(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5)), free_float)
+centiseconds = st.integers(0, int(FILE_SECONDS * 100)).map(lambda n: n / 100)
 threshold = st.one_of(st.sampled_from((0.0, 0.3, 0.5, 1.0)), st.floats(0.0, 1.0))
 
 
@@ -97,6 +103,92 @@ def test_count_matrix_equals_bruteforce(instance, dtc, gtc, cttc):
         got = (counts.n_gt[c], counts.n_sys[c], counts.n_tp[c], counts.n_fp[c])
         assert got == (exp["n_gt"], exp["n_sys"], exp["n_tp"], exp["n_fp"])
         assert dict(counts.cross_triggers[c]) == exp["ct"]
+
+
+@st.composite
+def split_instances(draw):
+    """``instances()`` plus one event that is cut, on the other side, into pieces.
+
+    The pieces lie inside the whole event with gaps between them, as split
+    detections of one sound (or split labels under one detection) do. Cut
+    points are decimal times, which floats mostly cannot hold exactly, and
+    there are many pieces, so the sum of their durations often depends on
+    the order it is taken in. ``target`` names the criterion that sums
+    them: GTC for a whole ground truth, DTC for a whole detection of the
+    pieces' class, CTTC for one of another class. Returns the rows, the
+    whole event, the pieces' label and ``target``.
+    """
+    gt_rows, det_rows = draw(instances())
+    cuts = sorted(draw(st.lists(centiseconds, min_size=16, max_size=40, unique=True)))
+    cuts = cuts[: len(cuts) // 2 * 2]
+    target = draw(st.sampled_from(("gtc", "dtc", "cttc")))
+    file_id = draw(st.sampled_from(FILES))
+    whole_label = draw(st.sampled_from(sorted({r[3] for r in gt_rows})))
+    label = whole_label
+    if target == "cttc":
+        label = draw(st.sampled_from([c for c in CLASSES if c != whole_label]))
+    whole = (file_id, cuts[0], cuts[-1], whole_label)
+    pieces = [(file_id, a, b, label) for a, b in zip(cuts[::2], cuts[1::2])]
+    if target == "gtc":
+        gt_rows, det_rows = gt_rows + [whole], det_rows + pieces
+    else:
+        gt_rows, det_rows = gt_rows + pieces, det_rows + [whole]
+    return gt_rows, det_rows, Event(*whole), label, target
+
+
+def _tie(data, ratio: float) -> float:
+    """``ratio`` or the next float above it, or a free threshold if that exceeds 1.
+
+    At either threshold the verdict hinges on the last bit of the ratio, so
+    summing the coverage in another order flips it for some inputs.
+    """
+    tie = math.nextafter(ratio, 2.0) if data.draw(st.booleans()) else ratio
+    return tie if 0 < tie <= 1 else data.draw(threshold)
+
+
+@PROPERTY
+@given(split_instances(), st.data())
+def test_count_matrix_equals_the_wrappers_class_by_class(instance, data):
+    # the whole event's verdict under its target criterion sits on a tie
+    # of its coverage summed in input order
+    gt_rows, det_rows, whole, pieces_label, target = instance
+    gt_rows = data.draw(st.permutations(gt_rows))
+    det_rows = data.draw(st.permutations(det_rows))
+    dataset, detections = as_dataset(gt_rows), as_events(det_rows)
+    ground_truth = dataset.ground_truth
+
+    def ratio(events) -> float:
+        return total_intersection(whole, events) / whole.duration
+
+    thr = {name: data.draw(threshold) for name in ("dtc", "gtc", "cttc")}
+    if target != "gtc":
+        thr[target] = _tie(data, ratio(ground_truth.for_class(pieces_label)))
+    split = {
+        c: dtc_filter(detections.for_class(c), ground_truth.for_class(c), thr["dtc"])
+        for c in dataset.classes
+    }
+    if target == "gtc":
+        thr["gtc"] = _tie(data, ratio(split[whole.class_label][0]))
+    params = default_params(
+        dtc_threshold=thr["dtc"], gtc_threshold=thr["gtc"], cttc_threshold=thr["cttc"]
+    )
+    counts = count_matrix(detections, dataset, params)
+    for c, (relevant, fps) in split.items():
+        assert counts.n_tp[c] == len(gtc_select(ground_truth.for_class(c), relevant, thr["gtc"]))
+        assert counts.n_fp[c] == len(fps)
+        expected_ct = cttc_count(fps, c, ground_truth, thr["cttc"])
+        assert {o: n for o, n in counts.cross_triggers[c].items() if n} == expected_ct
+
+
+@PROPERTY
+@given(instances())
+def test_overlaps_equal_all_pairs_in_input_order(instance):
+    gt_rows, det_rows = instance
+    gts = [Event(*r) for r in gt_rows]
+    index = OnsetIndex(gts)
+    for x in (Event(*r) for r in det_rows + gt_rows):
+        expected = [(i, intersection_duration(x, g)) for i, g in enumerate(gts)]
+        assert index.overlaps(x) == [(i, overlap) for i, overlap in expected if overlap > 0]
 
 
 @PROPERTY

@@ -94,6 +94,26 @@ class TestParseEventTable:
         rows = parse_event_table(f"{HEADER}\nf1\t5\t6\tb\nf1\t0\t1\ta\n")
         assert [r.event_label for r in rows] == ["b", "a"]
 
+    def test_trailing_blank_lines_are_ignored(self):
+        for tail in ("\n\n", "\n\n\n", "\r\n\r\n"):
+            rows = parse_event_table(f"{HEADER}\nf1\t0.5\t2.0\tdog{tail}")
+            assert rows == [TableRow("f1", 0.5, 2.0, "dog", 2)]
+        assert parse_event_table(f"{HEADER}\n\n") == []
+
+    def test_blank_line_between_rows_names_its_line(self):
+        with pytest.raises(BadRow, match=r"<input>:3: expected 4 tab-separated fields, got 1"):
+            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\n\nf1\t2\t3\tdog\n\n")
+
+    @pytest.mark.parametrize("label", ["dog ", " dog", " dog ", "dog\u00a0"])
+    def test_label_with_surrounding_whitespace_rejected(self, label):
+        with pytest.raises(BadRow) as err:
+            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\nf1\t0\t1\t{label}\n", source="gt.tsv")
+        assert str(err.value).startswith("gt.tsv:3: ")
+        assert repr(label) in str(err.value)
+
+    def test_label_with_inner_space_is_kept(self):
+        assert parse_event_table(f"{HEADER}\nf1\t0\t1\tdog bark\n")[0].event_label == "dog bark"
+
 
 class TestParseDurationsTable:
     def test_basic(self):
@@ -111,6 +131,13 @@ class TestParseDurationsTable:
     def test_bad_header(self):
         with pytest.raises(MalformedHeader):
             parse_durations_table("file\tduration\nf1\t10\n")
+
+    def test_trailing_blank_lines_are_ignored(self):
+        assert parse_durations_table("filename\tduration\nf1\t10\n\n\n") == {"f1": 10.0}
+
+    def test_blank_line_between_rows_names_its_line(self):
+        with pytest.raises(BadRow, match=r"<input>:3: expected 2 tab-separated fields, got 1"):
+            parse_durations_table("filename\tduration\nf1\t10\n\nf2\t5\n")
 
 
 def write_tables(tmp_path, gt_rows, durations):

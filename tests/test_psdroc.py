@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -105,6 +106,12 @@ class TestMergePsdRoc:
         b = staircase(points((20, 1.0)), "b")
         roc = merge_psd_roc({"a": a, "b": b}, alpha_st=1.0, max_efpr=20.0)
         assert roc.points == ((0.0, 0.0), (10.0, 0.0), (20.0, 1.0))
+
+    @pytest.mark.parametrize("alpha_st", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_alpha_st(self, alpha_st):
+        curve = staircase(points((10, 0.5), (60, 0.9)), "a")
+        with pytest.raises(ValueError, match="alpha_st must be finite and >= 0"):
+            merge_psd_roc({"a": curve, "b": curve}, alpha_st=alpha_st, max_efpr=100.0)
 
     def test_breakpoints_beyond_budget_do_not_lift_curve(self):
         curve = staircase(points((10, 0.4), (150, 1.0)), "a")

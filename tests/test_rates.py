@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -200,6 +201,11 @@ class TestEffectiveTpr:
     def test_requires_at_least_one_class(self):
         with pytest.raises(ValueError):
             effective_tpr([], 1.0)
+
+    @pytest.mark.parametrize("alpha_st", [math.nan, math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_alpha_st(self, alpha_st):
+        with pytest.raises(ValueError, match="alpha_st must be finite and >= 0"):
+            effective_tpr([1.0, 0.5], alpha_st)
 
 
 class TestF1Scores:
