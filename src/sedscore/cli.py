@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on a data error (bad table, unknown file,
-label outside the class set, ...), 2 on a usage error, including a
-parameter that :class:`EvalParams` or :class:`CollarParams` rejects.
+label outside the class set, ...) or an unwritable ``--out``, 2 on a
+usage error, including a parameter that :class:`EvalParams` or
+:class:`CollarParams` rejects.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import sys
 from pathlib import Path
 
 from .errors import SedScoreError
-from .events import CollarParams, EvalParams, TimeUnit, validate_events
+from .events import CollarParams, EvalParams, TimeUnit
 from .io import (
     build_counts_report,
     build_f1_report,
     build_psds_report,
     emit_report,
     load_dataset,
-    load_event_table,
+    load_detections,
     sweep_operating_points,
 )
 from .matching import collar_counts, count_matrix
@@ -122,13 +123,6 @@ def _eval_params(args: argparse.Namespace) -> EvalParams:
     )
 
 
-def _load_detections(args: argparse.Namespace, dataset):
-    rows = load_event_table(args.det)
-    return validate_events(
-        rows, dataset.file_durations, allowed_classes=dataset.classes, source=str(args.det)
-    )
-
-
 def _collar_params(args: argparse.Namespace) -> CollarParams | None:
     if getattr(args, "collar", None) is None:
         return None
@@ -144,13 +138,13 @@ def _run(args: argparse.Namespace, params: EvalParams, collar: CollarParams | No
     clamp = not args.no_clamp
 
     if args.command == "counts":
-        detections = _load_detections(args, dataset)
+        detections = load_detections(args.det, dataset)
         counts = count_matrix(detections, dataset, params)
         rates = compute_rates(counts, dataset, params)
         return build_counts_report(counts, rates, dataset, params)
 
     if args.command == "f1":
-        detections = _load_detections(args, dataset)
+        detections = load_detections(args.det, dataset)
         if collar is not None:
             counts = collar_counts(detections, dataset, collar)
         else:
@@ -174,15 +168,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        report = _run(args, params, collar)
+        text = emit_report(_run(args, params, collar), args.format)
+        if args.out is not None:
+            args.out.write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (SedScoreError, OSError) as exc:
         print(f"sedscore: error: {exc}", file=sys.stderr)
         return 1
-    text = emit_report(report, args.format)
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadRow, MalformedHeader, NoOperatingPoints
-from .events import CollarParams, Dataset, EvalParams, validate_events
+from .events import CollarParams, Dataset, EvalParams, EventSet, validate_events
 from .matching import CountsMatrix, count_matrix
 from .psdroc import ClassCurve, PsdRoc
 from .rates import ClassRates, F1Report
@@ -30,6 +30,7 @@ __all__ = [
     "load_event_table",
     "load_durations",
     "load_dataset",
+    "load_detections",
     "sweep_operating_points",
     "build_counts_report",
     "build_f1_report",
@@ -51,28 +52,38 @@ class TableRow(NamedTuple):
     line: int
 
 
-def _parse_number(raw: str, what: str, line: int, source: str | None) -> float:
+def _parse_number(raw: str, what: str, line: int, name: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise BadRow(f"{source or '<input>'}:{line}: {what} '{raw}' is not a number") from None
+        raise BadRow(f"{name}:{line}: {what} '{raw}' is not a number") from None
     if not math.isfinite(value):
-        raise BadRow(f"{source or '<input>'}:{line}: {what} '{raw}' is not finite")
+        raise BadRow(f"{name}:{line}: {what} '{raw}' is not finite")
     return value
 
 
-def _data_lines(text: str, header: tuple[str, ...], source: str | None) -> list[str]:
-    """Check a table's exact header; return its data lines, trailing empty lines dropped.
+def _rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each data row of a table.
 
-    An empty line between data rows stays, so the row parser reports it
-    with its line number.
+    Checks the exact header, then that every row has one field per header
+    column and a non-empty filename. Empty lines at the end of the table
+    are dropped; an empty line between data rows is a :class:`BadRow`
+    naming its line.
     """
     lines = text.splitlines()
     if not lines or tuple(lines[0].split("\t")) != header:
-        raise MalformedHeader(f"{source or '<input>'}:1: expected header '{chr(9).join(header)}'")
+        raise MalformedHeader(f"{name}:1: expected header '{chr(9).join(header)}'")
     while not lines[-1]:
         lines.pop()
-    return lines[1:]
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise BadRow(
+                f"{name}:{lineno}: expected {len(header)} tab-separated fields, got {len(fields)}"
+            )
+        if not fields[0]:
+            raise BadRow(f"{name}:{lineno}: empty filename")
+        yield lineno, fields
 
 
 def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]:
@@ -88,30 +99,16 @@ def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]
     """
     name = source or "<input>"
     rows: list[TableRow] = []
-    for lineno, line in enumerate(_data_lines(text, EVENT_HEADER, source), start=2):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise BadRow(
-                f"{name}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-            )
-        filename, onset_raw, offset_raw, label = fields
-        if not filename:
-            raise BadRow(f"{name}:{lineno}: empty filename")
+    for lineno, (filename, onset_raw, offset_raw, label) in _rows(text, EVENT_HEADER, name):
         if not label:
             raise BadRow(f"{name}:{lineno}: empty event_label")
         if label != label.strip():
             raise BadRow(
                 f"{name}:{lineno}: event_label {label!r} has leading or trailing whitespace"
             )
-        rows.append(
-            TableRow(
-                filename=filename,
-                onset=_parse_number(onset_raw, "onset", lineno, source),
-                offset=_parse_number(offset_raw, "offset", lineno, source),
-                event_label=label,
-                line=lineno,
-            )
-        )
+        onset = _parse_number(onset_raw, "onset", lineno, name)
+        offset = _parse_number(offset_raw, "offset", lineno, name)
+        rows.append(TableRow(filename, onset, offset, label, lineno))
     return rows
 
 
@@ -123,18 +120,10 @@ def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, 
     """
     name = source or "<input>"
     durations: dict[str, float] = {}
-    for lineno, line in enumerate(_data_lines(text, DURATIONS_HEADER, source), start=2):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise BadRow(
-                f"{name}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-            )
-        filename, dur_raw = fields
-        if not filename:
-            raise BadRow(f"{name}:{lineno}: empty filename")
+    for lineno, (filename, dur_raw) in _rows(text, DURATIONS_HEADER, name):
         if filename in durations:
             raise BadRow(f"{name}:{lineno}: duplicate filename '{filename}'")
-        duration = _parse_number(dur_raw, "duration", lineno, source)
+        duration = _parse_number(dur_raw, "duration", lineno, name)
         if not duration > 0:
             raise BadRow(f"{name}:{lineno}: duration must be > 0, got {dur_raw}")
         durations[filename] = duration
@@ -159,6 +148,16 @@ def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
     return Dataset(ground_truth=ground_truth, file_durations=durations)
 
 
+def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
+    """Load a detection table, validated against the dataset's files and classes."""
+    return validate_events(
+        load_event_table(path),
+        dataset.file_durations,
+        allowed_classes=dataset.classes,
+        source=str(path),
+    )
+
+
 def sweep_operating_points(
     det_dir: str | Path,
     dataset: Dataset,
@@ -172,57 +171,58 @@ def sweep_operating_points(
     the offending file; a partial sweep would make scores incomparable.
     """
     det_dir = Path(det_dir)
+    if not det_dir.is_dir():
+        raise NoOperatingPoints(f"detection path '{det_dir}' is not a directory")
     paths = sorted(det_dir.glob("*.tsv"), key=lambda p: p.name)
     if not paths:
         raise NoOperatingPoints(f"no .tsv detection tables in '{det_dir}'")
-    counts: dict[str, CountsMatrix] = {}
-    for path in paths:
-        rows = load_event_table(path)
-        detections = validate_events(
-            rows,
-            dataset.file_durations,
-            allowed_classes=dataset.classes,
-            source=str(path),
-        )
-        counts[path.stem] = count_matrix(detections, dataset, params)
-    return counts
+    return {
+        path.stem: count_matrix(load_detections(path, dataset), dataset, params) for path in paths
+    }
 
 
 # --- report assembly -------------------------------------------------------
 
-_SCHEMA = "sedscore-report-v1"
 
-
-def _params_block(
-    params: EvalParams, *, clamp: bool = True, collar: CollarParams | None = None
+def _report_head(
+    kind: str,
+    params: EvalParams,
+    dataset: Dataset,
+    *,
+    clamp: bool = True,
+    collar: CollarParams | None = None,
 ) -> dict:
+    """The ``schema``, ``report``, ``params`` and ``dataset`` entries every report opens with."""
     if collar is not None:
-        return {
+        params_block = {
             "mode": "collar",
             "collar": collar.collar,
             "collar_offset_ratio": collar.offset_ratio,
             "check_offset": collar.check_offset,
             "time_unit": params.time_unit.value,
         }
+    else:
+        params_block = {
+            "mode": "intersection",
+            "dtc_threshold": params.dtc_threshold,
+            "gtc_threshold": params.gtc_threshold,
+            "cttc_threshold": params.cttc_threshold,
+            "alpha_ct": params.alpha_ct,
+            "alpha_st": params.alpha_st,
+            "max_efpr": params.max_efpr,
+            "time_unit": params.time_unit.value,
+            "rate_unit": f"per_{params.time_unit.value}",
+            "clamp_etpr": clamp,
+        }
     return {
-        "mode": "intersection",
-        "dtc_threshold": params.dtc_threshold,
-        "gtc_threshold": params.gtc_threshold,
-        "cttc_threshold": params.cttc_threshold,
-        "alpha_ct": params.alpha_ct,
-        "alpha_st": params.alpha_st,
-        "max_efpr": params.max_efpr,
-        "time_unit": params.time_unit.value,
-        "rate_unit": f"per_{params.time_unit.value}",
-        "clamp_etpr": clamp,
-    }
-
-
-def _dataset_block(dataset: Dataset) -> dict:
-    return {
-        "num_files": len(dataset.file_durations),
-        "total_duration_seconds": dataset.total_duration,
-        "classes": list(dataset.classes),
+        "schema": "sedscore-report-v1",
+        "report": kind,
+        "params": params_block,
+        "dataset": {
+            "num_files": len(dataset.file_durations),
+            "total_duration_seconds": dataset.total_duration,
+            "classes": list(dataset.classes),
+        },
     }
 
 
@@ -265,10 +265,7 @@ def build_counts_report(
 ) -> dict:
     """Single-operating-point report: counts, cross-triggers and rates."""
     return {
-        "schema": _SCHEMA,
-        "report": "counts",
-        "params": _params_block(params),
-        "dataset": _dataset_block(dataset),
+        **_report_head("counts", params, dataset),
         "counts": _counts_block(counts),
         "cross_triggers": _cross_trigger_block(counts),
         "rates": _rates_block(rates),
@@ -285,10 +282,7 @@ def build_f1_report(
 ) -> dict:
     """Single-operating-point F1 report, intersection or collar mode."""
     return {
-        "schema": _SCHEMA,
-        "report": "f1",
-        "params": _params_block(params, collar=collar),
-        "dataset": _dataset_block(dataset),
+        **_report_head("f1", params, dataset, collar=collar),
         "counts": _counts_block(counts),
         "f1": {
             "per_class": {c: f1.per_class[c] for c in counts.classes},
@@ -311,10 +305,7 @@ def build_psds_report(
     export); everything else is identical.
     """
     report = {
-        "schema": _SCHEMA,
-        "report": "psds" if include_psds else "roc",
-        "params": _params_block(params, clamp=roc.clamped),
-        "dataset": _dataset_block(dataset),
+        **_report_head("psds" if include_psds else "roc", params, dataset, clamp=roc.clamped),
         "num_operating_points": max(
             (len(pts) for pts in roc.op_points.values()), default=0
         ),
@@ -357,6 +348,22 @@ def _table_block(title: str, header: Sequence[str], rows: Sequence[Sequence[obje
     return lines
 
 
+def _class_table(title: str, columns: Sequence[str], rows: Mapping[str, Mapping]) -> list[str]:
+    """One row per class with the named entries of its mapping."""
+    return _table_block(
+        title, ("class", *columns), [(c, *(row[k] for k in columns)) for c, row in rows.items()]
+    )
+
+
+def _pair_table(title: str, column: str, rows: Mapping[str, Mapping[str, object]]) -> list[str]:
+    """One row per (class, triggered class) pair."""
+    return _table_block(
+        title,
+        ("class", "triggered_class", column),
+        [(c, other, value) for c, row in rows.items() for other, value in row.items()],
+    )
+
+
 def _tsv_report(report: dict) -> str:
     blocks: list[list[str]] = []
     blocks.append(_kv_block("report", {"schema": report["schema"], "type": report["report"]}))
@@ -365,50 +372,14 @@ def _tsv_report(report: dict) -> str:
     dataset["classes"] = ",".join(dataset["classes"])
     blocks.append(_kv_block("dataset", dataset))
     if "counts" in report:
-        blocks.append(
-            _table_block(
-                "counts",
-                ("class", "n_gt", "n_sys", "n_tp", "n_fp"),
-                [
-                    (c, row["n_gt"], row["n_sys"], row["n_tp"], row["n_fp"])
-                    for c, row in report["counts"].items()
-                ],
-            )
-        )
+        blocks.append(_class_table("counts", ("n_gt", "n_sys", "n_tp", "n_fp"), report["counts"]))
     if "cross_triggers" in report:
-        blocks.append(
-            _table_block(
-                "cross_triggers",
-                ("class", "triggered_class", "count"),
-                [
-                    (c, other, n)
-                    for c, row in report["cross_triggers"].items()
-                    for other, n in row.items()
-                ],
-            )
-        )
+        blocks.append(_pair_table("cross_triggers", "count", report["cross_triggers"]))
     if "rates" in report:
-        blocks.append(
-            _table_block(
-                "rates",
-                ("class", "tp_ratio", "fp_rate", "efpr"),
-                [
-                    (c, row["tp_ratio"], row["fp_rate"], row["efpr"])
-                    for c, row in report["rates"].items()
-                ],
-            )
-        )
-        blocks.append(
-            _table_block(
-                "ct_rates",
-                ("class", "triggered_class", "rate"),
-                [
-                    (c, other, rate)
-                    for c, row in report["rates"].items()
-                    for other, rate in row["ct_rates"].items()
-                ],
-            )
-        )
+        rates = report["rates"]
+        blocks.append(_class_table("rates", ("tp_ratio", "fp_rate", "efpr"), rates))
+        ct_rates = {c: row["ct_rates"] for c, row in rates.items()}
+        blocks.append(_pair_table("ct_rates", "rate", ct_rates))
     if "f1" in report:
         blocks.append(
             _table_block(

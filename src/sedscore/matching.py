@@ -26,7 +26,8 @@ decide its DTC verdict; a relevant detection hands them on to the ground
 truths it touches, and a false positive folds its overlaps by class into
 its cross-triggers. GTC then sums, for each touched ground truth, the
 overlaps of the relevant detections in detection order, with no second
-index. The collar baseline bisects the same index for onsets within the
+index. The collar baseline indexes each class's ground truth the same way
+and makes one pass over the detections, bisecting for onsets within the
 collar.
 """
 
@@ -243,8 +244,6 @@ def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> 
 
 
 def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
-    if det.file_id != gt.file_id:
-        return False
     if abs(det.onset - gt.onset) > collar.collar:
         return False
     if collar.check_offset:
@@ -254,12 +253,12 @@ def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
     return True
 
 
-def _onset_window(index: OnsetIndex, x: Event, collar: float) -> list[Event]:
-    """Indexed events of ``x``'s file whose onsets may lie within ``collar`` of ``x``'s.
+def _onset_window(index: OnsetIndex, x: Event, collar: float) -> list[int]:
+    """Input positions of the indexed events of ``x``'s file with onsets near ``x``'s.
 
-    The window is widened by a relative 1e-9, far more than the rounding
-    of ``a - b`` in :func:`_collar_hit`, so rounding never drops a
-    candidate; the caller re-checks each one.
+    The window reaches ``collar`` either side, widened by a relative 1e-9,
+    far more than the rounding of ``a - b`` in :func:`_collar_hit`, so
+    rounding never drops a candidate; the caller re-checks each one.
     """
     span = index.spans.get(x.file_id)
     if span is None:
@@ -267,7 +266,7 @@ def _onset_window(index: OnsetIndex, x: Event, collar: float) -> list[Event]:
     reach = collar + (x.onset + collar) * 1e-9
     lo = bisect_left(index.onsets, x.onset - reach, *span)
     hi = bisect_right(index.onsets, x.onset + reach, lo, span[1])
-    return [index.events[i] for i in index.order[lo:hi]]
+    return index.order[lo:hi]
 
 
 def collar_match(
@@ -282,21 +281,17 @@ def collar_match(
     a false positive if it lands within no ground truth's collars. One
     detection may validate several ground truths and vice versa.
     """
-    det_index = OnsetIndex(dets_c)
-    gt_index = OnsetIndex(gt_c)
-    n_tp = sum(
-        1
-        for gt in gt_c
-        if any(_collar_hit(det, gt, collar) for det in _onset_window(det_index, gt, collar.collar))
-    )
-    n_fp = sum(
-        1
-        for det in dets_c
-        if not any(
-            _collar_hit(det, gt, collar) for gt in _onset_window(gt_index, det, collar.collar)
-        )
-    )
-    return n_tp, n_fp
+    index = OnsetIndex(gt_c)
+    matched: set[int] = set()
+    n_fp = 0
+    for det in dets_c:
+        window = _onset_window(index, det, collar.collar)
+        hits = [i for i in window if _collar_hit(det, gt_c[i], collar)]
+        if hits:
+            matched.update(hits)
+        else:
+            n_fp += 1
+    return len(matched), n_fp
 
 
 def collar_counts(detections: EventSet, dataset: Dataset, collar: CollarParams) -> CountsMatrix:

@@ -208,6 +208,16 @@ class TestPsds:
         assert "# psd_roc" in text
         assert "psds\t0.45" in text
 
+    def test_unwritable_output_path_exits_1(self, workspace, capsys):
+        out_path = workspace / "missing" / "report.json"
+        argv = ["psds", *common(workspace), "--det-dir", workspace / "ops", "--out", out_path]
+        assert main([str(a) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("sedscore: error: ")
+        assert str(out_path) in err
+        assert "Traceback" not in err
+
     def test_unit_flag_changes_rates(self, workspace, capsys):
         code, out = run(
             capsys,

@@ -30,6 +30,7 @@ from sedscore.io import (
     TableRow,
     emit_report,
     load_dataset,
+    load_detections,
     load_durations,
     load_event_table,
 )
@@ -205,6 +206,28 @@ class TestLoadDataset:
         assert load_durations(dur) == {"f1": 60.0}
 
 
+class TestLoadDetections:
+    def test_returns_validated_events(self, tmp_path):
+        dataset = load_dataset(*write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0}))
+        write_detections(tmp_path / "det.tsv", [("f1", 1.0, 2.0, "dog"), ("f1", 3.0, 4.0, "dog")])
+        detections = load_detections(tmp_path / "det.tsv", dataset)
+        spans = [(e.onset, e.offset) for e in detections.for_class("dog")]
+        assert spans == [(1.0, 2.0), (3.0, 4.0)]
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (("f1", 0.0, 1.0, "cow"), UnknownClassLabel),
+            (("f1", 50.0, 70.0, "dog"), EventExceedsFileDuration),
+        ],
+    )
+    def test_rejects_against_dataset_naming_table_and_line(self, tmp_path, row, error):
+        dataset = load_dataset(*write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0}))
+        write_detections(tmp_path / "det.tsv", [row])
+        with pytest.raises(error, match=r"det\.tsv.*line 2"):
+            load_detections(tmp_path / "det.tsv", dataset)
+
+
 class TestSweep:
     def setup_sweep(self, tmp_path, n_ops=3):
         gt, dur = write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0})
@@ -231,6 +254,14 @@ class TestSweep:
         dataset, ops = self.setup_sweep(tmp_path, n_ops=0)
         with pytest.raises(NoOperatingPoints):
             sweep_operating_points(ops, dataset, default_params())
+
+    @pytest.mark.parametrize("target", ["missing", "ops/op_0.0.tsv"])
+    def test_path_that_is_not_a_directory_is_named(self, tmp_path, target):
+        dataset, _ = self.setup_sweep(tmp_path, n_ops=1)
+        path = tmp_path / target
+        with pytest.raises(NoOperatingPoints, match="is not a directory") as exc:
+            sweep_operating_points(path, dataset, default_params())
+        assert str(path) in str(exc.value)
 
     def test_malformed_file_aborts_naming_it(self, tmp_path):
         dataset, ops = self.setup_sweep(tmp_path, n_ops=2)
