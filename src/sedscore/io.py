@@ -1,11 +1,16 @@
-"""Table parsing, sweep orchestration and report emission.
+r"""Table parsing, sweep orchestration and report emission.
 
 Event lists follow the DCASE community convention: UTF-8 tab-separated
 values with a mandatory header, one event per row, decimal seconds. The
 loaders skip a leading byte-order mark, which spreadsheet exports often
-carry. A sweep is a directory with one detection table per operating
-point; the file stem names the operating point. Parsing is strict and
-fail-fast so a half-read sweep can never silently skew a score.
+carry, and report a byte that is not UTF-8 as a parse error naming its
+line. Lines end at ``\n``, with one ``\r`` before it dropped, so line
+numbers are the file's own. ``load_dataset`` and ``load_detections`` turn
+each row into a validated event in one pass, so of several faulty rows
+the first is reported. A sweep is a directory with one detection table
+per operating point; the file stem names the operating point. Parsing is
+strict and fail-fast so a half-read sweep can never silently skew a
+score.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ import math
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadRow, MalformedHeader, NoOperatingPoints
-from .events import CollarParams, Dataset, EvalParams, EventSet, validate_events
+from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, ValidationError
+from .events import CollarParams, Dataset, EvalParams, Event, EventSet, _check_placement, _where
 from .matching import CountsMatrix, count_matrix
 from .psdroc import ClassCurve, PsdRoc
 from .rates import ClassRates, F1Report
@@ -62,16 +67,34 @@ def _parse_number(raw: str, what: str, line: int, name: str) -> float:
     return value
 
 
+def _read_table(path: Path) -> str:
+    """A table file's text without a leading byte-order mark; a non-UTF-8 byte names its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{path}:{line}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+        ) from None
+
+
 def _rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, fields)`` for each data row of a table.
 
-    Checks the exact header, then that every row has one field per header
-    column and a non-empty filename. Empty lines at the end of the table
-    are dropped; an empty line between data rows is a :class:`BadRow`
-    naming its line.
+    Lines end at ``\\n``; one ``\\r`` before it is dropped, so LF and CRLF
+    tables read alike and no other character shifts a line number. Checks
+    the exact header, then that every row has one field per header column
+    and a non-empty filename. Empty lines at the end of the table are
+    dropped; an empty line between data rows is a :class:`BadRow` naming
+    its line.
     """
-    lines = text.splitlines()
-    if not lines or tuple(lines[0].split("\t")) != header:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
+    lines = text.split("\n")
+    if tuple(lines[0].split("\t")) != header:
         raise MalformedHeader(f"{name}:1: expected header '{chr(9).join(header)}'")
     while not lines[-1]:
         lines.pop()
@@ -86,19 +109,13 @@ def _rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, 
         yield lineno, fields
 
 
-def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]:
-    """Parse an event list. Strict: exact header, exactly four columns.
+def _event_rows(text: str, name: str) -> Iterator[tuple[str, float, float, str, int]]:
+    """Yield ``(filename, onset, offset, label, line)`` for each row of an event table.
 
-    Onset/offset must parse as finite numbers; semantic checks (ordering,
-    file bounds) are left to validation so their errors carry dataset
-    context. A label with leading or trailing whitespace is rejected, as
-    it would otherwise silently be a class of its own. A header-only
-    table is valid and means an empty detection set. Duplicate rows are
-    kept: two identical detections are two detections. Empty lines at the
-    end of the table are ignored.
+    The row rules of an event table: a label that is not empty and has no
+    leading or trailing whitespace, which would otherwise silently make it
+    a class of its own, and a finite onset and offset.
     """
-    name = source or "<input>"
-    rows: list[TableRow] = []
     for lineno, (filename, onset_raw, offset_raw, label) in _rows(text, EVENT_HEADER, name):
         if not label:
             raise BadRow(f"{name}:{lineno}: empty event_label")
@@ -108,8 +125,20 @@ def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]
             )
         onset = _parse_number(onset_raw, "onset", lineno, name)
         offset = _parse_number(offset_raw, "offset", lineno, name)
-        rows.append(TableRow(filename, onset, offset, label, lineno))
-    return rows
+        yield filename, onset, offset, label, lineno
+
+
+def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]:
+    """Parse an event list. Strict: exact header, exactly four columns.
+
+    Onset/offset must parse as finite numbers; semantic checks (ordering,
+    file bounds) are left to validation so their errors carry dataset
+    context. A label with leading or trailing whitespace is rejected. A
+    header-only table is valid and means an empty detection set.
+    Duplicate rows are kept: two identical detections are two detections.
+    Empty lines at the end of the table are ignored.
+    """
+    return list(map(TableRow._make, _event_rows(text, source or "<input>")))
 
 
 def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, float]:
@@ -132,30 +161,48 @@ def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, 
 
 def load_event_table(path: str | Path) -> list[TableRow]:
     path = Path(path)
-    return parse_event_table(path.read_text(encoding="utf-8-sig"), source=str(path))
+    return parse_event_table(_read_table(path), source=str(path))
 
 
 def load_durations(path: str | Path) -> dict[str, float]:
     path = Path(path)
-    return parse_durations_table(path.read_text(encoding="utf-8-sig"), source=str(path))
+    return parse_durations_table(_read_table(path), source=str(path))
+
+
+def _load_events(
+    path: str | Path,
+    file_durations: Mapping[str, float],
+    allowed_classes: Sequence[str] | None = None,
+) -> EventSet:
+    """Read an event table straight into validated events, one pass per row.
+
+    Gives what ``validate_events(load_event_table(path), ...)`` gives, with
+    the same message for each fault; of several faulty rows, the first
+    one is reported.
+    """
+    source = str(path)
+    allowed = None if allowed_classes is None else frozenset(allowed_classes)
+    events: list[Event] = []
+    line = None
+    try:
+        for filename, onset, offset, label, line in _event_rows(_read_table(Path(path)), source):
+            event = Event(filename, onset, offset, label)
+            _check_placement(event, file_durations, allowed)
+            events.append(event)
+    except ValidationError as exc:
+        raise type(exc)(f"{exc}{_where(source, line)}") from None
+    return EventSet(tuple(events))
 
 
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
     """Load and cross-validate ground truth and durations tables."""
     durations = load_durations(durations_path)
-    rows = load_event_table(gt_path)
-    ground_truth = validate_events(rows, durations, source=str(gt_path))
-    return Dataset(ground_truth=ground_truth, file_durations=durations)
+    return Dataset(ground_truth=_load_events(gt_path, durations), file_durations=durations)
 
 
 def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
     """Load a detection table, validated against the dataset's files and classes."""
-    return validate_events(
-        load_event_table(path),
-        dataset.file_durations,
-        allowed_classes=dataset.classes,
-        source=str(path),
-    )
+    return _load_events(path, dataset.file_durations, dataset.classes)
 
 
 def sweep_operating_points(

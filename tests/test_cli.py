@@ -76,6 +76,14 @@ class TestCounts:
         err = capsys.readouterr().err
         assert "bad.tsv" in err
 
+    def test_detection_file_that_is_not_utf8_exits_1(self, workspace, capsys):
+        det = workspace / "latin1.tsv"
+        det.write_bytes(f"{HEADER}\nf1\t0\t4\tdog\nf1\t5\t10\tdog\xe9\n".encode("latin-1"))
+        code = main([str(a) for a in ["counts", *common(workspace), "--det", det]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"sedscore: error: {det}:3: byte 0xe9 is not valid UTF-8\n"
+
     def test_unknown_flag_exits_2(self, workspace):
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in ["counts", *common(workspace), "--bogus"]])

@@ -16,6 +16,7 @@ from sedscore import (
     NegativeOnset,
     NoOperatingPoints,
     NonPositiveDuration,
+    ParseError,
     UnknownClassLabel,
     UnknownFile,
     parse_durations_table,
@@ -115,6 +116,20 @@ class TestParseEventTable:
     def test_label_with_inner_space_is_kept(self):
         assert parse_event_table(f"{HEADER}\nf1\t0\t1\tdog bark\n")[0].event_label == "dog bark"
 
+    @pytest.mark.parametrize("char", ["\x0c", "\u2028"])
+    def test_only_newline_ends_a_line(self, char):
+        with pytest.raises(BadRow) as err:
+            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog{char}\nf1\t2\t3\tdog\n")
+        assert str(err.value) == (
+            f"<input>:2: event_label {'dog' + char!r} has leading or trailing whitespace"
+        )
+        with pytest.raises(BadRow, match=r"^<input>:3: onset 'zero' is not a number$"):
+            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog{char}bark\nf1\tzero\t1\tdog\n")
+
+    def test_lone_carriage_return_does_not_end_a_line(self):
+        with pytest.raises(BadRow, match=r"^<input>:2: expected 4 tab-separated fields, got 7$"):
+            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\rf1\t2\t3\tdog\n")
+
 
 class TestParseDurationsTable:
     def test_basic(self):
@@ -205,6 +220,24 @@ class TestLoadDataset:
         add_byte_order_mark(dur)
         assert load_durations(dur) == {"f1": 60.0}
 
+    @pytest.mark.parametrize("table", ["gt", "durations", "det"])
+    def test_invalid_utf8_names_table_and_line(self, tmp_path, table):
+        gt, dur = write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0, "f2": 5.0})
+        det = tmp_path / "det.tsv"
+        write_detections(det, [("f1", 0.0, 1.0, "dog")])
+        path = {"gt": gt, "durations": dur, "det": det}[table]
+        path.write_bytes(path.read_bytes().replace(b"f1", b"f\xe9"))
+        with pytest.raises(ParseError) as err:
+            load_detections(det, load_dataset(gt, dur))
+        assert str(err.value) == f"{path}:2: byte 0xe9 is not valid UTF-8"
+
+    def test_invalid_utf8_after_byte_order_mark_counts_lines_of_the_file(self, tmp_path):
+        path = tmp_path / "det.tsv"
+        rows = f"{HEADER}\r\nf1\t0\t1\tdog\r\n".encode("utf-8")
+        path.write_bytes(b"\xef\xbb\xbf" + rows + b"f1\t0\t1\tdo\xe9\r\n")
+        with pytest.raises(ParseError, match=r"det\.tsv:3: byte 0xe9 is not valid UTF-8"):
+            load_event_table(path)
+
 
 class TestLoadDetections:
     def test_returns_validated_events(self, tmp_path):
@@ -226,6 +259,19 @@ class TestLoadDetections:
         write_detections(tmp_path / "det.tsv", [row])
         with pytest.raises(error, match=r"det\.tsv.*line 2"):
             load_detections(tmp_path / "det.tsv", dataset)
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        dataset = load_dataset(*write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0}))
+        rows = [("f1", 0.0, 1.0, "cow"), ("f1", "zero", 1.0, "dog")]
+        write_detections(tmp_path / "det.tsv", rows)
+        with pytest.raises(UnknownClassLabel, match=r"det\.tsv, line 2\)$"):
+            load_detections(tmp_path / "det.tsv", dataset)
+
+    def test_crlf_table(self, tmp_path):
+        dataset = load_dataset(*write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0}))
+        path = tmp_path / "det.tsv"
+        path.write_bytes(f"{HEADER}\r\nf1\t1\t2\tdog\r\n\r\n".encode("utf-8"))
+        assert [(e.onset, e.offset) for e in load_detections(path, dataset)] == [(1.0, 2.0)]
 
 
 class TestSweep:
