@@ -8,9 +8,11 @@ line. Lines end at ``\n``, with one ``\r`` before it dropped, so line
 numbers are the file's own. ``load_dataset`` and ``load_detections`` turn
 each row into a validated event in one pass, so of several faulty rows
 the first is reported. A sweep is a directory with one detection table
-per operating point; the file stem names the operating point. Parsing is
-strict and fail-fast so a half-read sweep can never silently skew a
-score.
+per operating point; the file stem names the operating point. Its tables
+usually nest, so a row whose exact text appeared in the previous table,
+or earlier in the same one, reuses that row's match record instead of
+being parsed, validated and matched again. Parsing is strict and
+fail-fast so a half-read sweep can never silently skew a score.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, ValidationError
 from .events import CollarParams, Dataset, EvalParams, Event, EventSet, _check_placement, _where
-from .matching import CountsMatrix, count_matrix
+from .matching import CountsMatrix, _tally, _Verdict, _verdicts
 from .psdroc import ClassCurve, PsdRoc
 from .rates import ClassRates, F1Report
 
@@ -79,15 +81,13 @@ def _read_table(path: Path) -> str:
         ) from None
 
 
-def _rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, fields)`` for each data row of a table.
+def _lines(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each data row of a table, in order.
 
     Lines end at ``\\n``; one ``\\r`` before it is dropped, so LF and CRLF
     tables read alike and no other character shifts a line number. Checks
-    the exact header, then that every row has one field per header column
-    and a non-empty filename. Empty lines at the end of the table are
-    dropped; an empty line between data rows is a :class:`BadRow` naming
-    its line.
+    the exact header. Empty lines at the end of the table are dropped; an
+    empty line between data rows is kept, and :func:`_rows` rejects it.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -98,7 +98,18 @@ def _rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, 
         raise MalformedHeader(f"{name}:1: expected header '{chr(9).join(header)}'")
     while not lines[-1]:
         lines.pop()
-    for lineno, line in enumerate(lines[1:], start=2):
+    return enumerate(lines[1:], start=2)
+
+
+def _rows(
+    numbered: Iterable[tuple[int, str]], header: tuple[str, ...], name: str
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each numbered line of a table.
+
+    Checks that every row has one field per header column and a non-empty
+    filename; an empty line is a :class:`BadRow` naming its line.
+    """
+    for lineno, line in numbered:
         fields = line.split("\t")
         if len(fields) != len(header):
             raise BadRow(
@@ -109,14 +120,16 @@ def _rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, 
         yield lineno, fields
 
 
-def _event_rows(text: str, name: str) -> Iterator[tuple[str, float, float, str, int]]:
-    """Yield ``(filename, onset, offset, label, line)`` for each row of an event table.
+def _event_rows(
+    numbered: Iterable[tuple[int, str]], name: str
+) -> Iterator[tuple[str, float, float, str, int]]:
+    """Yield ``(filename, onset, offset, label, line)`` for each numbered line of an event table.
 
     The row rules of an event table: a label that is not empty and has no
     leading or trailing whitespace, which would otherwise silently make it
     a class of its own, and a finite onset and offset.
     """
-    for lineno, (filename, onset_raw, offset_raw, label) in _rows(text, EVENT_HEADER, name):
+    for lineno, (filename, onset_raw, offset_raw, label) in _rows(numbered, EVENT_HEADER, name):
         if not label:
             raise BadRow(f"{name}:{lineno}: empty event_label")
         if label != label.strip():
@@ -138,7 +151,8 @@ def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]
     Duplicate rows are kept: two identical detections are two detections.
     Empty lines at the end of the table are ignored.
     """
-    return list(map(TableRow._make, _event_rows(text, source or "<input>")))
+    name = source or "<input>"
+    return list(map(TableRow._make, _event_rows(_lines(text, EVENT_HEADER, name), name)))
 
 
 def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, float]:
@@ -149,7 +163,8 @@ def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, 
     """
     name = source or "<input>"
     durations: dict[str, float] = {}
-    for lineno, (filename, dur_raw) in _rows(text, DURATIONS_HEADER, name):
+    numbered = _lines(text, DURATIONS_HEADER, name)
+    for lineno, (filename, dur_raw) in _rows(numbered, DURATIONS_HEADER, name):
         if filename in durations:
             raise BadRow(f"{name}:{lineno}: duplicate filename '{filename}'")
         duration = _parse_number(dur_raw, "duration", lineno, name)
@@ -169,29 +184,38 @@ def load_durations(path: str | Path) -> dict[str, float]:
     return parse_durations_table(_read_table(path), source=str(path))
 
 
+def _events(
+    numbered: Iterable[tuple[int, str]],
+    source: str,
+    file_durations: Mapping[str, float],
+    allowed: frozenset[str] | None,
+) -> Iterator[Event]:
+    """Yield the validated event of each numbered line of an event table, in one pass.
+
+    Gives the events ``validate_events(load_event_table(path), ...)`` gives,
+    with the same message for each fault; of several faulty rows, the
+    first one is reported.
+    """
+    lineno = None
+    try:
+        for filename, onset, offset, label, lineno in _event_rows(numbered, source):
+            event = Event(filename, onset, offset, label)
+            _check_placement(event, file_durations, allowed)
+            yield event
+    except ValidationError as exc:
+        raise type(exc)(f"{exc}{_where(source, lineno)}") from None
+
+
 def _load_events(
     path: str | Path,
     file_durations: Mapping[str, float],
     allowed_classes: Sequence[str] | None = None,
 ) -> EventSet:
-    """Read an event table straight into validated events, one pass per row.
-
-    Gives what ``validate_events(load_event_table(path), ...)`` gives, with
-    the same message for each fault; of several faulty rows, the first
-    one is reported.
-    """
+    """Read an event table straight into validated events, one pass per row."""
     source = str(path)
     allowed = None if allowed_classes is None else frozenset(allowed_classes)
-    events: list[Event] = []
-    line = None
-    try:
-        for filename, onset, offset, label, line in _event_rows(_read_table(Path(path)), source):
-            event = Event(filename, onset, offset, label)
-            _check_placement(event, file_durations, allowed)
-            events.append(event)
-    except ValidationError as exc:
-        raise type(exc)(f"{exc}{_where(source, line)}") from None
-    return EventSet(tuple(events))
+    numbered = _lines(_read_table(Path(path)), EVENT_HEADER, source)
+    return EventSet(tuple(_events(numbered, source, file_durations, allowed)))
 
 
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
@@ -216,6 +240,11 @@ def sweep_operating_points(
     lexicographic filename order regardless of how the directory lists
     them. Any parse or validation problem aborts the whole sweep naming
     the offending file; a partial sweep would make scores incomparable.
+
+    Each table gives what ``count_matrix(load_detections(path, ...))``
+    gives. A line whose exact text appeared in the previous table, or
+    earlier in the same one, reuses that line's record: the tables of a
+    threshold sweep nest, so most rows are scored once per sweep.
     """
     det_dir = Path(det_dir)
     if not det_dir.is_dir():
@@ -223,9 +252,24 @@ def sweep_operating_points(
     paths = sorted(det_dir.glob("*.tsv"), key=lambda p: p.name)
     if not paths:
         raise NoOperatingPoints(f"no .tsv detection tables in '{det_dir}'")
-    return {
-        path.stem: count_matrix(load_detections(path, dataset), dataset, params) for path in paths
-    }
+    allowed = frozenset(dataset.classes)
+    counts: dict[str, CountsMatrix] = {}
+    # line text -> record: the previous table's lines, and this table's once scored
+    known: dict[str, _Verdict] = {}
+    for path in paths:
+        source = str(path)
+        lines: list[str] = []
+        fresh: dict[str, int] = {}  # line text -> line number, where it first appears
+        for lineno, line in _lines(_read_table(path), EVENT_HEADER, source):
+            lines.append(line)
+            if line not in known and line not in fresh:
+                fresh[line] = lineno
+        events = _events(zip(fresh.values(), fresh), source, dataset.file_durations, allowed)
+        known.update(zip(fresh, _verdicts(events, dataset, params)))
+        verdicts = list(map(known.__getitem__, lines))
+        known = dict(zip(lines, verdicts))
+        counts[path.stem] = _tally(verdicts, dataset, params)
+    return counts
 
 
 # --- report assembly -------------------------------------------------------
@@ -374,6 +418,8 @@ def build_psds_report(
 
 
 def _fmt(value: object) -> str:
+    if type(value) is float:  # nearly every cell of a report
+        return format(value, ".6g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):

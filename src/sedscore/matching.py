@@ -21,21 +21,24 @@ events of each file sorted by onset, with a running maximum of offsets, so
 a lookup visits only the events that can overlap and counting costs close
 to linear time in the events per file. The ground-truth index is built
 lazily, once per dataset, on first use. :func:`count_matrix` makes one
-lookup per detection and no other: the detection's own-class overlaps
-decide its DTC verdict; a relevant detection hands them on to the ground
-truths it touches, and a false positive folds its overlaps by class into
-its cross-triggers. GTC then sums, for each touched ground truth, the
-overlaps of the relevant detections in detection order, with no second
-index. The collar baseline indexes each class's ground truth the same way
-and makes one pass over the detections, bisecting for onsets within the
-collar.
+lookup per detection and no other, and turns it into the detection's
+record: its own-class overlaps decide its DTC verdict; a relevant
+detection keeps them, and a false positive keeps the classes its overlaps,
+folded by class, cross-trigger. A record depends only on the detection,
+the dataset and the params, so a sweep computes it once per distinct row.
+The tally of a table's records, in detection order, gives its counts:
+GTC sums, for each touched ground truth, the overlaps of the relevant
+detections in that order, with no second index. The collar baseline
+indexes each class's ground truth the same way and makes one pass over
+the detections, bisecting for onsets within the collar.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownClassLabel
 from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex, _class_sums
@@ -146,11 +149,12 @@ def cttc_count(
     cross-trigger several classes. Only classes with a non-zero count
     appear in the result.
     """
-    others = [c for c in ground_truth.class_labels if c != class_label]
-    counts = dict.fromkeys(others, 0)
+    classes = ground_truth.class_labels
+    counts = dict.fromkeys(classes, 0)
     for fp in fps_c:
         coverage = ground_truth.onset_index.coverage(fp)
-        _cross_trigger(fp, class_label, coverage, cttc_threshold, counts)
+        for other in _cross_trigger(fp, class_label, coverage, cttc_threshold, classes):
+            counts[other] += 1
     return {c: n for c, n in counts.items() if n}
 
 
@@ -159,48 +163,108 @@ def _cross_trigger(
     class_label: str,
     coverage: Mapping[str, float],
     cttc_threshold: float,
-    counts: dict[str, int],
-) -> None:
-    """Add one to ``counts[other]`` for every class the false positive cross-triggers.
+    classes: Sequence[str],
+) -> list[str]:
+    """The classes other than ``class_label`` that the false positive cross-triggers.
 
     ``coverage`` is the false positive's coverage record. With a zero
-    threshold every other class counts, overlap or not; otherwise only
-    classes with coverage can reach the threshold.
+    threshold every other class of ``classes`` counts, overlap or not;
+    otherwise only classes with coverage can reach the threshold.
     """
     if cttc_threshold == 0:
-        for other in counts:
-            counts[other] += 1
-        return
-    for other, covered in coverage.items():
-        if other != class_label and covered / fp.duration >= cttc_threshold:
-            counts[other] += 1
+        return [other for other in classes if other != class_label]
+    duration = fp.duration
+    return [
+        other
+        for other, covered in coverage.items()
+        if other != class_label and covered / duration >= cttc_threshold
+    ]
 
 
-def _tabulate(
-    detections: EventSet,
-    dataset: Dataset,
-    count: Callable[[tuple[str, ...], dict[str, dict[str, int]]], tuple[dict, dict]],
-) -> CountsMatrix:
-    """Check detection labels, run ``count`` over the classes, assemble the matrix.
+_second = itemgetter(1)
 
-    ``count`` gets the classes and a zeroed cross-trigger matrix to fill,
-    and returns the ``n_tp`` and ``n_fp`` mappings.
+# A detection's record: ``(label, own, crossed)``. ``own`` lists the
+# ``(ground-truth position, overlap)`` hits of its own class when it passes
+# DTC, and is None when it is a false positive; ``crossed`` lists the
+# classes a false positive cross-triggers, and is empty otherwise.
+_Verdict = tuple[str, list[tuple[int, float]] | None, Sequence[str]]
+
+
+def _verdicts(
+    detections: Iterable[Event], dataset: Dataset, params: EvalParams
+) -> Iterator[_Verdict]:
+    """The record of each detection against ``dataset`` under ``params``, in order.
+
+    A record depends only on the detection, the dataset and the params, so
+    a sweep may reuse it for an identical detection of another table.
+    """
+    gt = dataset.ground_truth.events
+    overlaps = dataset.ground_truth.onset_index.overlaps
+    classes = dataset.classes
+    dtc, cttc = params.dtc_threshold, params.cttc_threshold
+    for det in detections:
+        c = det.class_label
+        hits = overlaps(det)
+        own = [(i, overlap) for i, overlap in hits if gt[i].class_label == c]
+        if sum(map(_second, own)) / (det.offset - det.onset) >= dtc:
+            yield c, own, ()
+        else:
+            # with no other class in reach, its coverage record is all its own class
+            coverage = _class_sums(gt, hits) if len(own) < len(hits) else {}
+            yield c, None, _cross_trigger(det, c, coverage, cttc, classes)
+
+
+def _tally(verdicts: Iterable[_Verdict], dataset: Dataset, params: EvalParams) -> CountsMatrix:
+    """Counts of one table from its detections' records, taken in detection order.
+
+    GTC sums, for each touched ground truth, the overlaps of the relevant
+    detections in the order the records come, so the sums are the same
+    floats whether a record was computed for this table or reused.
     """
     classes = dataset.classes
-    unknown = detections.by_class.keys() - set(classes)
+    gt = dataset.ground_truth.events
+    n_sys = dict.fromkeys(classes, 0)
+    n_fp = dict.fromkeys(classes, 0)
+    ct = _no_cross_triggers(classes)
+    # ground-truth input position -> overlaps of relevant detections, in detection order
+    gt_hits: dict[int, list[float]] = {}
+    for c, own, crossed in verdicts:
+        n_sys[c] += 1
+        if own is None:
+            n_fp[c] += 1
+            row = ct[c]
+            for other in crossed:
+                row[other] += 1
+        else:
+            for i, overlap in own:
+                if i in gt_hits:
+                    gt_hits[i].append(overlap)
+                else:
+                    gt_hits[i] = [overlap]
+    n_gt = _n_gt(dataset)
+    if params.gtc_threshold == 0:  # every ground truth counts, touched or not
+        n_tp = dict(n_gt)
+    else:
+        n_tp = dict.fromkeys(classes, 0)
+        for i, covering in gt_hits.items():
+            if sum(covering) / gt[i].duration >= params.gtc_threshold:
+                n_tp[gt[i].class_label] += 1
+    return CountsMatrix(classes, n_gt, n_sys, n_tp, n_fp, ct)
+
+
+def _n_gt(dataset: Dataset) -> dict[str, int]:
+    return {c: len(dataset.ground_truth.for_class(c)) for c in dataset.classes}
+
+
+def _no_cross_triggers(classes: tuple[str, ...]) -> dict[str, dict[str, int]]:
+    return {c: {other: 0 for other in classes if other != c} for c in classes}
+
+
+def _check_labels(detections: EventSet, classes: tuple[str, ...]) -> None:
+    unknown = {det.class_label for det in detections}.difference(classes)
     if unknown:
         labels = ", ".join(f"'{label}'" for label in sorted(unknown))
         raise UnknownClassLabel(f"detection labels outside the ground-truth class set: {labels}")
-    ct = {c: {other: 0 for other in classes if other != c} for c in classes}
-    n_tp, n_fp = count(classes, ct)
-    return CountsMatrix(
-        classes=classes,
-        n_gt={c: len(dataset.ground_truth.for_class(c)) for c in classes},
-        n_sys={c: len(detections.for_class(c)) for c in classes},
-        n_tp=n_tp,
-        n_fp=n_fp,
-        cross_triggers=ct,
-    )
 
 
 def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> CountsMatrix:
@@ -209,38 +273,11 @@ def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> 
     Classes come from the ground truth; classes with no detections get zero
     system counts. Detections labelled outside the ground-truth class set
     are rejected. One overlap lookup per detection, in the index cached on
-    the dataset's ground truth, gives its DTC verdict, its share of every
-    ground truth's GTC coverage and its cross-triggers.
+    the dataset's ground truth, gives its record: its DTC verdict, its
+    share of every ground truth's GTC coverage and its cross-triggers.
     """
-
-    def count(classes: tuple[str, ...], ct: dict[str, dict[str, int]]) -> tuple[dict, dict]:
-        gt = dataset.ground_truth.events
-        overlaps = dataset.ground_truth.onset_index.overlaps
-        # ground-truth input position -> overlaps of relevant detections, in detection order
-        gt_hits: dict[int, list[float]] = {}
-        n_fp = dict.fromkeys(classes, 0)
-        for det in detections:
-            c = det.class_label
-            hits = overlaps(det)
-            own = [(i, overlap) for i, overlap in hits if gt[i].class_label == c]
-            if sum([overlap for _, overlap in own]) / det.duration >= params.dtc_threshold:
-                for i, overlap in own:
-                    if i in gt_hits:
-                        gt_hits[i].append(overlap)
-                    else:
-                        gt_hits[i] = [overlap]
-            else:
-                n_fp[c] += 1
-                _cross_trigger(det, c, _class_sums(gt, hits), params.cttc_threshold, ct[c])
-        if params.gtc_threshold == 0:  # every ground truth counts, touched or not
-            return {c: len(dataset.ground_truth.for_class(c)) for c in classes}, n_fp
-        n_tp = dict.fromkeys(classes, 0)
-        for i, covering in gt_hits.items():
-            if sum(covering) / gt[i].duration >= params.gtc_threshold:
-                n_tp[gt[i].class_label] += 1
-        return n_tp, n_fp
-
-    return _tabulate(detections, dataset, count)
+    _check_labels(detections, dataset.classes)
+    return _tally(_verdicts(detections, dataset, params), dataset, params)
 
 
 def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
@@ -296,12 +333,17 @@ def collar_match(
 
 def collar_counts(detections: EventSet, dataset: Dataset, collar: CollarParams) -> CountsMatrix:
     """Collar-baseline counts for every class, in CountsMatrix form."""
-
-    def count(classes: tuple[str, ...], ct: dict[str, dict[str, int]]) -> tuple[dict, dict]:
-        matched = {
-            c: collar_match(detections.for_class(c), dataset.ground_truth.for_class(c), collar)
-            for c in classes
-        }
-        return {c: tp for c, (tp, _) in matched.items()}, {c: fp for c, (_, fp) in matched.items()}
-
-    return _tabulate(detections, dataset, count)
+    classes = dataset.classes
+    _check_labels(detections, classes)
+    matched = {
+        c: collar_match(detections.for_class(c), dataset.ground_truth.for_class(c), collar)
+        for c in classes
+    }
+    return CountsMatrix(
+        classes=classes,
+        n_gt=_n_gt(dataset),
+        n_sys={c: len(detections.for_class(c)) for c in classes},
+        n_tp={c: tp for c, (tp, _) in matched.items()},
+        n_fp={c: fp for c, (_, fp) in matched.items()},
+        cross_triggers=_no_cross_triggers(classes),
+    )
