@@ -9,10 +9,11 @@ numbers are the file's own. ``load_dataset`` and ``load_detections`` turn
 each row into a validated event in one pass, so of several faulty rows
 the first is reported. A sweep is a directory with one detection table
 per operating point; the file stem names the operating point. Its tables
-usually nest, so a row whose exact text appeared in the previous table,
-or earlier in the same one, reuses that row's match record instead of
-being parsed, validated and matched again. Parsing is strict and
-fail-fast so a half-read sweep can never silently skew a score.
+often nest, so a row whose exact text appeared in the previous table, or
+earlier in the same one, reuses that row's match record instead of being
+parsed, validated and matched again, until a table reuses too few rows
+to pay for the lookups. Parsing is strict and fail-fast so a half-read
+sweep can never silently skew a score.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, ValidationError
 from .events import CollarParams, Dataset, EvalParams, Event, EventSet, _check_placement, _where
-from .matching import CountsMatrix, _tally, _Verdict, _verdicts
+from .matching import CountsMatrix, _tally, _Verdict, _verdicts, count_matrix
 from .psdroc import ClassCurve, PsdRoc
 from .rates import ClassRates, F1Report
 
@@ -244,7 +245,11 @@ def sweep_operating_points(
     Each table gives what ``count_matrix(load_detections(path, ...))``
     gives. A line whose exact text appeared in the previous table, or
     earlier in the same one, reuses that line's record: the tables of a
-    threshold sweep nest, so most rows are scored once per sweep.
+    threshold sweep often nest, so most rows are scored once per sweep.
+    Looking a line up costs a small fraction of scoring it, but it is paid
+    on every line, so once a table reuses the record of fewer than one line
+    in ten, as when every threshold moves the event edges, the remaining
+    tables are scored without lookups.
     """
     det_dir = Path(det_dir)
     if not det_dir.is_dir():
@@ -254,10 +259,15 @@ def sweep_operating_points(
         raise NoOperatingPoints(f"no .tsv detection tables in '{det_dir}'")
     allowed = frozenset(dataset.classes)
     counts: dict[str, CountsMatrix] = {}
-    # line text -> record: the previous table's lines, and this table's once scored
-    known: dict[str, _Verdict] = {}
+    # line text -> record: the previous table's lines, and this table's once
+    # scored; None once the tables stop repeating lines
+    known: dict[str, _Verdict] | None = {}
     for path in paths:
+        if known is None:
+            counts[path.stem] = count_matrix(load_detections(path, dataset), dataset, params)
+            continue
         source = str(path)
+        compared = bool(known)  # false for the first table and after an empty one
         lines: list[str] = []
         fresh: dict[str, int] = {}  # line text -> line number, where it first appears
         for lineno, line in _lines(_read_table(path), EVENT_HEADER, source):
@@ -267,8 +277,11 @@ def sweep_operating_points(
         events = _events(zip(fresh.values(), fresh), source, dataset.file_durations, allowed)
         known.update(zip(fresh, _verdicts(events, dataset, params)))
         verdicts = list(map(known.__getitem__, lines))
-        known = dict(zip(lines, verdicts))
         counts[path.stem] = _tally(verdicts, dataset, params)
+        if compared and 10 * (len(lines) - len(fresh)) < len(lines):
+            known = None
+        else:
+            known = dict(zip(lines, verdicts))
     return counts
 
 
@@ -418,14 +431,12 @@ def build_psds_report(
 
 
 def _fmt(value: object) -> str:
-    if type(value) is float:  # nearly every cell of a report
+    if isinstance(value, float):  # nearly every cell of a report
         return format(value, ".6g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format(value, ".6g")
     return str(value)
 
 

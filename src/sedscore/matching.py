@@ -25,7 +25,7 @@ lookup per detection and no other, and turns it into the detection's
 record: its own-class overlaps decide its DTC verdict; a relevant
 detection keeps them, and a false positive keeps the classes its overlaps,
 folded by class, cross-trigger. A record depends only on the detection,
-the dataset and the params, so a sweep computes it once per distinct row.
+the dataset and the params, so a sweep can reuse it for a repeated row.
 The tally of a table's records, in detection order, gives its counts:
 GTC sums, for each touched ground truth, the overlaps of the relevant
 detections in that order, with no second index. The collar baseline

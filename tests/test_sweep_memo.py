@@ -8,6 +8,8 @@ from one candidate list, nested or not, with repeated rows, CRLF line ends
 and header-only tables; candidates include rows that differ from another
 in one field only, and ``split_instances`` puts a ground truth's GTC
 verdict on a tie that only summation in detection order reproduces.
+Once a table reuses fewer than one row in ten, the rest of the sweep is
+scored without lookups; the unit tests below pin where that happens.
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ def test_sweep_equals_count_matrix_of_each_table(sweep, data):
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_DATASET = load_dataset(GOLDEN / "gt.tsv", GOLDEN / "durations.tsv")
 ROWS = ["a.wav\t1.5\t6.0\tspeech", "a.wav\t10.25\t13.5\talarm", "b.wav\t0\t2.5\tspeech"]
+OTHER_ROWS = ["a.wav\t1.5\t6.5\tspeech", "b.wav\t4\t8\tdog"]
 FAULTY = {
     "unknown label": "a.wav\t20\t21\tunicorn",
     "offset past the file end": "c.wav\t299\t301\tspeech",
@@ -175,6 +178,54 @@ def test_fault_among_memo_hits_is_reported_as_for_the_table_alone(tmp_path, faul
     assert alone[0] != "ok"
     assert swept == alone
     assert f"op_1.tsv:{where + 2}" in swept[1] or f"line {where + 2}" in swept[1]
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTY))
+def test_fault_after_the_sweep_stops_reusing_records_is_reported_as_for_the_table_alone(
+    tmp_path, fault
+):
+    # op_1 shares no row with op_0, so op_2 is read without lookups
+    later = [*ROWS]
+    later.insert(1, FAULTY[fault])
+    (tmp_path / "op_0.tsv").write_text("\n".join([HEADER, *OTHER_ROWS]) + "\n")
+    (tmp_path / "op_1.tsv").write_text("\n".join([HEADER, *ROWS]) + "\n")
+    (tmp_path / "op_2.tsv").write_text("\n".join([HEADER, *later]) + "\n")
+    params = default_params()
+    swept = _outcome(lambda: sweep_operating_points(tmp_path, GOLDEN_DATASET, params))
+    alone = _outcome(lambda: load_detections(tmp_path / "op_2.tsv", GOLDEN_DATASET))
+    assert alone[0] != "ok"
+    assert swept == alone
+
+
+def _scored_without_lookups(tmp_path, monkeypatch, tables):
+    """Write ``tables`` as a sweep and return the stems scored without lookups."""
+    for k, rows in enumerate(tables):
+        (tmp_path / f"op_{k}.tsv").write_text("\n".join([HEADER, *rows]) + "\n")
+    seen = []  # what count_matrix returned
+
+    def count_matrix_seen(detections, dataset, params):
+        seen.append(count_matrix(detections, dataset, params))
+        return seen[-1]
+
+    monkeypatch.setattr("sedscore.io.count_matrix", count_matrix_seen)
+    params = default_params()
+    swept = sweep_operating_points(tmp_path, GOLDEN_DATASET, params)
+    assert swept == _per_table(tmp_path, GOLDEN_DATASET, params)
+    return [stem for stem, counts in swept.items() if any(counts is c for c in seen)]
+
+
+def test_lookups_stop_once_a_table_reuses_under_a_tenth_of_its_rows(tmp_path, monkeypatch):
+    # op_1 reuses 1 row of 11, op_2 and op_3 repeat op_1 but are scored without lookups
+    fresh = [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(10)]
+    tables = [[ROWS[0]], [ROWS[0], *fresh], [ROWS[0], *fresh], []]
+    assert _scored_without_lookups(tmp_path, monkeypatch, tables) == ["op_2", "op_3"]
+
+
+def test_lookups_go_on_while_a_table_reuses_a_tenth_of_its_rows(tmp_path, monkeypatch):
+    # op_1 reuses 1 row of 10; the first table and one after an empty table decide nothing
+    fresh = [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(9)]
+    tables = [OTHER_ROWS, [], ROWS, [ROWS[0], *fresh], fresh]
+    assert _scored_without_lookups(tmp_path, monkeypatch, tables) == []
 
 
 def test_malformed_header_in_a_later_table_names_that_table(tmp_path):
