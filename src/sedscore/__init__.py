@@ -48,9 +48,6 @@ from .matching import (
     collar_counts,
     collar_match,
     count_matrix,
-    cttc_count,
-    dtc_filter,
-    gtc_select,
 )
 from .psdroc import (
     ClassCurve,
@@ -87,9 +84,6 @@ __all__ = [
     "validate_events",
     # matching
     "CountsMatrix",
-    "dtc_filter",
-    "gtc_select",
-    "cttc_count",
     "count_matrix",
     "collar_match",
     "collar_counts",

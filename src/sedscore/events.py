@@ -161,28 +161,6 @@ class OnsetIndex:
                 hits.append((i, overlap))
         return hits
 
-    def coverage(self, x: Event) -> dict[str, float]:
-        """Summed overlap of ``x`` with the indexed events of each class.
-
-        Only classes with a non-zero overlap appear. Each sum runs over the
-        non-zero overlaps in input order; adding zeros never changes a
-        float sum, so the values equal :func:`total_intersection` over the
-        class's events, bit for bit.
-        """
-        return _class_sums(self.events, self.overlaps(x))
-
-
-def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> dict[str, float]:
-    """Fold :meth:`OnsetIndex.overlaps` hits into one ``sum()`` per class, in hit order."""
-    parts: dict[str, list[float]] = {}
-    for i, overlap in hits:
-        label = events[i].class_label
-        if label in parts:
-            parts[label].append(overlap)
-        else:
-            parts[label] = [overlap]
-    return {label: sum(overlaps) for label, overlaps in parts.items()}
-
 
 @dataclass(frozen=True)
 class EventSet:

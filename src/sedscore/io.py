@@ -435,8 +435,6 @@ def _fmt(value: object) -> str:
         return format(value, ".6g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

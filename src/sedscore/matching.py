@@ -41,13 +41,10 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownClassLabel
-from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex, _class_sums
+from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex
 
 __all__ = [
     "CountsMatrix",
-    "dtc_filter",
-    "gtc_select",
-    "cttc_count",
     "count_matrix",
     "collar_match",
     "collar_counts",
@@ -94,70 +91,6 @@ class CountsMatrix:
         return sum(self.n_gt[c] for c in self.classes)
 
 
-def _covered(index: OnsetIndex, x: Event) -> float:
-    """Overlap of ``x`` with the indexed events of its file, all classes together."""
-    return sum([overlap for _, overlap in index.overlaps(x)])
-
-
-def dtc_filter(
-    dets_c: Sequence[Event],
-    gt_c: Sequence[Event],
-    dtc_threshold: float,
-) -> tuple[list[Event], list[Event]]:
-    """Split same-class detections into relevant ones and false positives.
-
-    A detection is relevant when the summed overlap with the class's ground
-    truth covers at least ``dtc_threshold`` of the detection's duration.
-    Returns ``(relevant, false_positives)``, a partition of ``dets_c``.
-    """
-    index = OnsetIndex(gt_c)
-    relevant: list[Event] = []
-    fps: list[Event] = []
-    for det in dets_c:
-        if _covered(index, det) / det.duration >= dtc_threshold:
-            relevant.append(det)
-        else:
-            fps.append(det)
-    return relevant, fps
-
-
-def gtc_select(
-    gt_c: Sequence[Event],
-    relevant_c: Sequence[Event],
-    gtc_threshold: float,
-) -> list[Event]:
-    """Ground truths whose duration is sufficiently covered by relevant detections.
-
-    The returned events are the class's true positives. Several split
-    detections may jointly cover one ground truth.
-    """
-    index = OnsetIndex(relevant_c)
-    return [gt for gt in gt_c if _covered(index, gt) / gt.duration >= gtc_threshold]
-
-
-def cttc_count(
-    fps_c: Sequence[Event],
-    class_label: str,
-    ground_truth: EventSet,
-    cttc_threshold: float,
-) -> dict[str, int]:
-    """Count cross-triggers of the given false positives against other classes.
-
-    Each false positive is tested against every class other than its own;
-    it counts once per class whose ground truth covers at least
-    ``cttc_threshold`` of the detection's duration, so a single event may
-    cross-trigger several classes. Only classes with a non-zero count
-    appear in the result.
-    """
-    classes = ground_truth.class_labels
-    counts = dict.fromkeys(classes, 0)
-    for fp in fps_c:
-        coverage = ground_truth.onset_index.coverage(fp)
-        for other in _cross_trigger(fp, class_label, coverage, cttc_threshold, classes):
-            counts[other] += 1
-    return {c: n for c, n in counts.items() if n}
-
-
 def _cross_trigger(
     fp: Event,
     class_label: str,
@@ -167,7 +100,7 @@ def _cross_trigger(
 ) -> list[str]:
     """The classes other than ``class_label`` that the false positive cross-triggers.
 
-    ``coverage`` is the false positive's coverage record. With a zero
+    ``coverage`` is the false positive's :func:`_class_sums`. With a zero
     threshold every other class of ``classes`` counts, overlap or not;
     otherwise only classes with coverage can reach the threshold.
     """
@@ -179,6 +112,21 @@ def _cross_trigger(
         for other, covered in coverage.items()
         if other != class_label and covered / duration >= cttc_threshold
     ]
+
+
+def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> dict[str, float]:
+    """Fold :meth:`OnsetIndex.overlaps` hits into one ``sum()`` per class, in hit order.
+
+    Each sum equals :func:`total_intersection` over the class's events, bit for bit.
+    """
+    parts: dict[str, list[float]] = {}
+    for i, overlap in hits:
+        label = events[i].class_label
+        if label in parts:
+            parts[label].append(overlap)
+        else:
+            parts[label] = [overlap]
+    return {label: sum(overlaps) for label, overlaps in parts.items()}
 
 
 _second = itemgetter(1)

@@ -33,10 +33,8 @@ from sedscore import (
     collar_counts,
     count_matrix,
     compute_rates,
-    dtc_filter,
     effective_tpr,
     f1_scores,
-    gtc_select,
     integrate_psds,
     merge_psd_roc,
     pareto_filter,
@@ -44,6 +42,7 @@ from sedscore import (
     staircase,
 )
 from sedscore.io import load_dataset, sweep_operating_points
+from sedscore.matching import _verdicts
 
 
 def criterion(num: int, name: str):
@@ -180,24 +179,27 @@ def test_criterion_5_monotonicity_suite():
     alpha_grid = (0.0, 0.5, 1.0, 2.0)
     for _ in range(200):
         gt_rows, det_rows, durations = random_instance(rng)
-        dets = [e for e in make_events(det_rows, durations).events if e.class_label == "c0"]
-        gts = [e for e in make_events(gt_rows, durations).events if e.class_label == "c0"]
+        dataset = make_dataset(gt_rows, durations)
+        dets = make_events(det_rows, durations, dataset)
 
+        # a detection is relevant when its record passes DTC (own hits, not None)
         previous = None
         for rho in (0.1, 0.4, 0.7, 1.0):
-            relevant, _ = dtc_filter(dets, gts, rho)
-            current = Counter(relevant)
+            records = _verdicts(dets, dataset, default_params(dtc_threshold=rho))
+            current = Counter(d for d, (_, own, _) in zip(dets, records) if own is not None)
             if previous is not None:
                 assert current <= previous, "relevant set grew with the detection tolerance"
             previous = current
 
-        relevant, _ = dtc_filter(dets, gts, 0.3)
         previous = None
         for rho in (0.1, 0.4, 0.7, 1.0):
-            hits = Counter(gtc_select(gts, relevant, rho))
+            params = default_params(dtc_threshold=0.3, gtc_threshold=rho)
+            n_tp = count_matrix(dets, dataset, params).n_tp
             if previous is not None:
-                assert hits <= previous, "TP set grew with the ground-truth tolerance"
-            previous = hits
+                assert all(n_tp[c] <= previous[c] for c in dataset.classes), (
+                    "TP count grew with the ground-truth tolerance"
+                )
+            previous = n_tp
 
     for _ in range(200):
         dataset, counts_by_op = _sweep_rates(rng)

@@ -4,9 +4,10 @@ Inputs are arbitrary floats, not decimal grids: endpoints are drawn from a
 small per-example pool (so touching and shared endpoints are common) mixed
 with free floats, over several files and classes, optionally with one very
 long ground truth among short ones. Every result is checked against an
-all-pairs definition that shares no code with the index, except that
-``count_matrix`` is also checked against its public wrappers on a
-threshold tie, where only the same summation order gives the same count.
+all-pairs definition that shares no code with the index. ``count_matrix``
+is also checked against the brute-force oracle on a threshold tie, where
+only the oracle's summation order (ground truth in input order,
+detections in detection order) gives the same count.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from sedscore import (
     OpPoint,
     collar_counts,
     count_matrix,
-    cttc_count,
-    dtc_filter,
-    gtc_select,
     intersection_duration,
     pareto_filter,
     total_intersection,
 )
 from sedscore.events import OnsetIndex
+from sedscore.matching import _class_sums
 
 from conftest import default_params
 
@@ -148,7 +147,7 @@ def _tie(data, ratio: float) -> float:
 
 @PROPERTY
 @given(split_instances(), st.data())
-def test_count_matrix_equals_the_wrappers_class_by_class(instance, data):
+def test_count_matrix_equals_bruteforce_on_a_tie(instance, data):
     # the whole event's verdict under its target criterion sits on a tie
     # of its coverage summed in input order
     gt_rows, det_rows, whole, pieces_label, target = instance
@@ -157,27 +156,27 @@ def test_count_matrix_equals_the_wrappers_class_by_class(instance, data):
     dataset, detections = as_dataset(gt_rows), as_events(det_rows)
     ground_truth = dataset.ground_truth
 
-    def ratio(events) -> float:
-        return total_intersection(whole, events) / whole.duration
+    def ratio(x, events) -> float:
+        return total_intersection(x, events) / x.duration
 
     thr = {name: data.draw(threshold) for name in ("dtc", "gtc", "cttc")}
-    if target != "gtc":
-        thr[target] = _tie(data, ratio(ground_truth.for_class(pieces_label)))
-    split = {
-        c: dtc_filter(detections.for_class(c), ground_truth.for_class(c), thr["dtc"])
-        for c in dataset.classes
-    }
     if target == "gtc":
-        thr["gtc"] = _tie(data, ratio(split[whole.class_label][0]))
+        c = whole.class_label
+        relevant = [
+            d for d in detections.for_class(c) if ratio(d, ground_truth.for_class(c)) >= thr["dtc"]
+        ]
+        thr["gtc"] = _tie(data, ratio(whole, relevant))
+    else:
+        thr[target] = _tie(data, ratio(whole, ground_truth.for_class(pieces_label)))
     params = default_params(
         dtc_threshold=thr["dtc"], gtc_threshold=thr["gtc"], cttc_threshold=thr["cttc"]
     )
     counts = count_matrix(detections, dataset, params)
-    for c, (relevant, fps) in split.items():
-        assert counts.n_tp[c] == len(gtc_select(ground_truth.for_class(c), relevant, thr["gtc"]))
-        assert counts.n_fp[c] == len(fps)
-        expected_ct = cttc_count(fps, c, ground_truth, thr["cttc"])
-        assert {o: n for o, n in counts.cross_triggers[c].items() if n} == expected_ct
+    expected = brute_force_counts(gt_rows, det_rows, thr["dtc"], thr["gtc"], thr["cttc"])
+    for c, exp in expected.items():
+        got = (counts.n_gt[c], counts.n_sys[c], counts.n_tp[c], counts.n_fp[c])
+        assert got == (exp["n_gt"], exp["n_sys"], exp["n_tp"], exp["n_fp"])
+        assert dict(counts.cross_triggers[c]) == exp["ct"]
 
 
 @PROPERTY
@@ -201,33 +200,8 @@ def test_coverage_is_total_intersection_bit_for_bit(instance):
         expected = {
             c: total_intersection(det, [g for g in gts if g.class_label == c]) for c in CLASSES
         }
-        got = index.coverage(det)
+        got = _class_sums(gts, index.overlaps(det))
         assert got == {c: v for c, v in expected.items() if v > 0}
-
-
-@PROPERTY
-@given(instances(), threshold)
-def test_wrappers_match_their_definitions(instance, thr):
-    gt_rows, det_rows = instance
-    gt_c = [Event(*r) for r in gt_rows if r[3] == "x"]
-    dets_c = [Event(*r) for r in det_rows if r[3] == "x"]
-
-    relevant, fps = dtc_filter(dets_c, gt_c, thr)
-    assert relevant == [d for d in dets_c if total_intersection(d, gt_c) / d.duration >= thr]
-    assert fps == [d for d in dets_c if total_intersection(d, gt_c) / d.duration < thr]
-
-    hits = gtc_select(gt_c, dets_c, thr)
-    assert hits == [g for g in gt_c if total_intersection(g, dets_c) / g.duration >= thr]
-
-    ground_truth = as_events(gt_rows)
-    expected = {}
-    for other in ground_truth.class_labels:
-        if other != "x":
-            gt_o = ground_truth.for_class(other)
-            n = sum(1 for d in dets_c if total_intersection(d, gt_o) / d.duration >= thr)
-            if n:
-                expected[other] = n
-    assert cttc_count(dets_c, "x", ground_truth, thr) == expected
 
 
 @PROPERTY
@@ -289,8 +263,6 @@ class TestZeroThresholds:
         params = default_params(dtc_threshold=0.0)
         counts = count_matrix(as_events(self.DETS), as_dataset(self.GT), params)
         assert counts.total_fp == 0
-        relevant, fps = dtc_filter([Event(*r) for r in self.DETS], [], 0.0)
-        assert len(relevant) == len(self.DETS) and fps == []
 
     def test_gtc_zero_makes_every_ground_truth_a_hit(self):
         params = default_params(gtc_threshold=0.0)
@@ -303,8 +275,6 @@ class TestZeroThresholds:
         for c in CLASSES:
             assert counts.n_fp[c] == 1
             assert dict(counts.cross_triggers[c]) == {o: 1 for o in CLASSES if o != c}
-        fps = [Event(*r) for r in self.DETS if r[3] == "x"]
-        assert cttc_count(fps, "x", as_events(self.GT), 0.0) == {"y": 1, "z": 1}
 
 
 def test_ground_truth_index_is_built_lazily_once():

@@ -16,51 +16,71 @@ from sedscore import (
     collar_counts,
     collar_match,
     count_matrix,
-    cttc_count,
-    dtc_filter,
-    gtc_select,
     validate_events,
 )
+from sedscore.matching import _verdicts
 
 
 def ev(onset, offset, file_id="f1", label="dog"):
     return Event(file_id, onset, offset, label)
 
 
+def row(onset, offset, file_id="f1", label="dog"):
+    return (file_id, onset, offset, label)
+
+
+DURATIONS = {"f1": 100.0, "f2": 100.0}
+
+
+def score(gt_rows, det_rows, **thresholds):
+    """``count_matrix`` of the detection rows against the ground-truth rows."""
+    dataset = make_dataset(gt_rows, DURATIONS)
+    detections = make_events(det_rows, DURATIONS, dataset)
+    return count_matrix(detections, dataset, default_params(**thresholds))
+
+
 class TestDtcFilter:
     def test_exact_match_is_relevant(self):
-        relevant, fps = dtc_filter([ev(0, 10)], [ev(0, 10)], 0.5)
-        assert len(relevant) == 1 and not fps
+        cm = score([row(0, 10)], [row(0, 10)], dtc_threshold=0.5)
+        assert (cm.n_sys["dog"], cm.n_fp["dog"]) == (1, 0)
 
     def test_low_coverage_is_fp(self):
         # 4 covered out of 10 -> 0.4 < 0.5
-        relevant, fps = dtc_filter([ev(0, 10)], [ev(0, 4)], 0.5)
-        assert not relevant and len(fps) == 1
+        cm = score([row(0, 4)], [row(0, 10)], dtc_threshold=0.5)
+        assert (cm.n_sys["dog"], cm.n_fp["dog"]) == (1, 1)
 
     def test_coverage_sums_across_ground_truths(self):
         # (4 + 5) / 10 = 0.9 >= 0.8
-        relevant, fps = dtc_filter([ev(0, 10)], [ev(0, 4), ev(5, 10)], 0.8)
-        assert len(relevant) == 1 and not fps
+        cm = score([row(0, 4), row(5, 10)], [row(0, 10)], dtc_threshold=0.8)
+        assert (cm.n_sys["dog"], cm.n_fp["dog"]) == (1, 0)
 
     def test_partition(self):
         rng = random.Random(5)
         gt_rows, det_rows, durations = random_instance(rng)
-        dets = [Event(*r) for r in det_rows if r[3] == "c0"]
-        gts = [Event(*r) for r in gt_rows if r[3] == "c0"]
-        relevant, fps = dtc_filter(dets, gts, 0.5)
-        assert Counter(relevant) + Counter(fps) == Counter(dets)
-        assert not set(relevant) & set(fps)
+        dataset = make_dataset(gt_rows, durations)
+        dets = make_events(det_rows, durations, dataset)
+        params = default_params(dtc_threshold=0.5)
+        # one record per detection, in detection order: relevant or false positive
+        records = list(_verdicts(dets, dataset, params))
+        assert [label for label, _, _ in records] == [d.class_label for d in dets]
+        cm = count_matrix(dets, dataset, params)
+        expected = brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.3)
+        for c in dataset.classes:
+            n_fp = sum(1 for label, own, _ in records if label == c and own is None)
+            assert cm.n_fp[c] == n_fp == expected[c]["n_fp"]
+            assert cm.n_sys[c] == len(dets.for_class(c))
 
     def test_relevant_set_shrinks_with_threshold(self):
         rng = random.Random(6)
         for _ in range(50):
-            gt_rows, det_rows, _ = random_instance(rng)
-            dets = [Event(*r) for r in det_rows if r[3] == "c0"]
-            gts = [Event(*r) for r in gt_rows if r[3] == "c0"]
+            gt_rows, det_rows, durations = random_instance(rng)
+            dataset = make_dataset(gt_rows, durations)
+            dets = make_events(det_rows, durations, dataset)
+            # a detection is relevant when its record passes DTC (own hits, not None)
             previous = None
             for threshold in (0.1, 0.4, 0.7, 1.0):
-                relevant, fps = dtc_filter(dets, gts, threshold)
-                current = Counter(relevant)
+                records = _verdicts(dets, dataset, default_params(dtc_threshold=threshold))
+                current = Counter(d for d, (_, own, _) in zip(dets, records) if own is not None)
                 if previous is not None:
                     assert current <= previous
                 previous = current
@@ -68,60 +88,65 @@ class TestDtcFilter:
 
 class TestGtcSelect:
     def test_split_detections_give_one_tp(self):
-        hits = gtc_select([ev(0, 10)], [ev(0, 4), ev(5, 10)], 0.5)
-        assert hits == [ev(0, 10)]
+        cm = score([row(0, 10)], [row(0, 4), row(5, 10)], gtc_threshold=0.5)
+        assert cm.n_tp["dog"] == 1
 
     def test_no_relevant_detections(self):
-        assert gtc_select([ev(0, 10)], [], 0.5) == []
+        assert score([row(0, 10)], [], gtc_threshold=0.5).n_tp["dog"] == 0
 
     def test_full_coverage_meets_threshold_one(self):
-        assert gtc_select([ev(0, 10)], [ev(0, 10)], 1.0) == [ev(0, 10)]
+        assert score([row(0, 10)], [row(0, 10)], gtc_threshold=1.0).n_tp["dog"] == 1
 
     def test_tp_set_shrinks_with_threshold(self):
         rng = random.Random(8)
         for _ in range(50):
-            gt_rows, det_rows, _ = random_instance(rng)
-            dets = [Event(*r) for r in det_rows if r[3] == "c0"]
-            gts = [Event(*r) for r in gt_rows if r[3] == "c0"]
-            relevant, _ = dtc_filter(dets, gts, 0.3)
+            gt_rows, det_rows, durations = random_instance(rng)
+            dataset = make_dataset(gt_rows, durations)
+            dets = make_events(det_rows, durations, dataset)
             previous = None
             for threshold in (0.1, 0.4, 0.7, 1.0):
-                hits = Counter(gtc_select(gts, relevant, threshold))
+                params = default_params(dtc_threshold=0.3, gtc_threshold=threshold)
+                n_tp = count_matrix(dets, dataset, params).n_tp
+                expected = brute_force_counts(gt_rows, det_rows, 0.3, threshold, 0.3)
+                assert all(n_tp[c] == expected[c]["n_tp"] for c in dataset.classes)
                 if previous is not None:
-                    assert hits <= previous
-                previous = hits
+                    assert all(n_tp[c] <= previous[c] for c in dataset.classes)
+                previous = n_tp
 
 
 class TestCttcCount:
-    def make_gt(self, rows):
-        durations = {"f1": 100.0, "f2": 100.0}
-        return validate_events(rows, durations)
+    # a dog ground truth in another file makes dog a class, and leaves
+    # every dog detection in f1 a false positive
+
+    DOG = row(0, 1, file_id="f2")
+
+    def cross_triggers(self, gt_rows, det_rows):
+        cm = score([self.DOG, *gt_rows], det_rows, cttc_threshold=0.3)
+        assert cm.n_fp["dog"] == len(det_rows)
+        return {other: n for other, n in cm.cross_triggers["dog"].items() if n}
 
     def test_counts_cross_class_overlap(self):
-        gt = self.make_gt([("f1", 0, 6, "cat")])
-        fps = [ev(0, 10, label="dog")]
-        assert cttc_count(fps, "dog", gt, 0.3) == {"cat": 1}
+        assert self.cross_triggers([row(0, 6, label="cat")], [row(0, 10)]) == {"cat": 1}
 
     def test_plain_fp_triggers_nothing(self):
-        gt = self.make_gt([("f1", 50, 60, "cat")])
-        fps = [ev(0, 10, label="dog")]
-        assert cttc_count(fps, "dog", gt, 0.3) == {}
+        assert self.cross_triggers([row(50, 60, label="cat")], [row(0, 10)]) == {}
 
     def test_one_fp_can_trigger_multiple_classes(self):
-        gt = self.make_gt([("f1", 0, 6, "cat"), ("f1", 4, 10, "speech")])
-        fps = [ev(0, 10, label="dog")]
-        assert cttc_count(fps, "dog", gt, 0.3) == {"cat": 1, "speech": 1}
+        gt_rows = [row(0, 6, label="cat"), row(4, 10, label="speech")]
+        assert self.cross_triggers(gt_rows, [row(0, 10)]) == {"cat": 1, "speech": 1}
 
     def test_counts_bounded_by_fp_count(self):
         rng = random.Random(9)
         for _ in range(50):
             gt_rows, det_rows, durations = random_instance(rng)
             dataset = make_dataset(gt_rows, durations)
+            dets = make_events(det_rows, durations, dataset)
+            params = default_params(dtc_threshold=0.5, cttc_threshold=0.2)
+            cm = count_matrix(dets, dataset, params)
+            expected = brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.2)
             for c in dataset.classes:
-                dets = [Event(*r) for r in det_rows if r[3] == c]
-                _, fps = dtc_filter(dets, list(dataset.ground_truth.for_class(c)), 0.5)
-                counts = cttc_count(fps, c, dataset.ground_truth, 0.2)
-                assert all(0 < n <= len(fps) for n in counts.values())
+                assert dict(cm.cross_triggers[c]) == expected[c]["ct"]
+                assert all(0 <= n <= cm.n_fp[c] for n in cm.cross_triggers[c].values())
 
 
 class TestCountMatrix:

@@ -21,15 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedscore import (
-    Event,
-    EventSet,
-    SedScoreError,
-    count_matrix,
-    dtc_filter,
-    gtc_select,
-    total_intersection,
-)
+from bruteforce import brute_force_counts
+from sedscore import Event, EventSet, SedScoreError, count_matrix, total_intersection
 from sedscore.io import EVENT_HEADER, load_dataset, load_detections, sweep_operating_points
 
 from conftest import default_params
@@ -121,7 +114,8 @@ def test_sweep_equals_count_matrix_of_each_table(sweep, data):
         # relevant pieces of the largest table, summed in that table's order
         label = whole.class_label
         dets = EventSet.from_events(Event(*r) for r in largest).for_class(label)
-        relevant, _ = dtc_filter(dets, ground_truth.for_class(label), dtc)
+        gt_c = ground_truth.for_class(label)
+        relevant = [d for d in dets if total_intersection(d, gt_c) / d.duration >= dtc]
         gtc = _tie(data, total_intersection(whole, relevant) / whole.duration)
     params = default_params(dtc_threshold=dtc, gtc_threshold=gtc, cttc_threshold=cttc)
     other = default_params(dtc_threshold=data.draw(threshold), cttc_threshold=data.draw(threshold))
@@ -135,11 +129,11 @@ def test_sweep_equals_count_matrix_of_each_table(sweep, data):
         # a second call on the same tables with other params: nothing carries over
         assert sweep_operating_points(det_dir, dataset, other) == _per_table(det_dir, dataset, other)
         for stem, counts in swept.items():
-            # GTC against its definition, which sums in detection order
-            dets = load_detections(det_dir / f"{stem}.tsv", dataset)
-            for c in dataset.classes:
-                relevant, _ = dtc_filter(dets.for_class(c), ground_truth.for_class(c), dtc)
-                assert counts.n_tp[c] == len(gtc_select(ground_truth.for_class(c), relevant, gtc))
+            # against the all-pairs oracle, whose GTC sums in detection order
+            expected = brute_force_counts(gt_rows, tables[f"{stem}.tsv"], dtc, gtc, cttc)
+            for c, exp in expected.items():
+                assert (counts.n_tp[c], counts.n_fp[c]) == (exp["n_tp"], exp["n_fp"])
+                assert dict(counts.cross_triggers[c]) == exp["ct"]
 
 
 GOLDEN = Path(__file__).parent / "golden"
