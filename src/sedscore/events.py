@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EventExceedsFileDuration,
@@ -161,6 +161,21 @@ class OnsetIndex:
                 hits.append((i, overlap))
         return hits
 
+    def onset_window(self, x: Event, reach: float) -> list[int]:
+        """Input positions of the indexed events of ``x``'s file with onsets near ``x``'s.
+
+        The window reaches ``reach`` either side, widened by a relative 1e-9,
+        far more than the rounding of an onset difference, so rounding never
+        drops a candidate; the caller re-checks each one.
+        """
+        span = self.spans.get(x.file_id)
+        if span is None:
+            return []
+        reach += (x.onset + reach) * 1e-9
+        lo = bisect_left(self.onsets, x.onset - reach, *span)
+        hi = bisect_right(self.onsets, x.onset + reach, lo, span[1])
+        return self.order[lo:hi]
+
 
 @dataclass(frozen=True)
 class EventSet:
@@ -205,11 +220,12 @@ class EventSet:
         return iter(self.events)
 
 
-def _row_event(row: object) -> Event:
+def _row_fields(row: object) -> tuple[str, float, float, str, int | None]:
+    """``(file_id, onset, offset, label, line)`` of an ``Event`` or a row sequence."""
     if isinstance(row, Event):
-        return row
+        return row.file_id, row.onset, row.offset, row.class_label, None
     file_id, onset, offset, label = tuple(row)[:4]  # type: ignore[call-overload]
-    return Event(str(file_id), float(onset), float(offset), str(label))
+    return str(file_id), float(onset), float(offset), str(label), getattr(row, "line", None)
 
 
 def _check_placement(
@@ -239,6 +255,28 @@ def _where(source: str | None, line: int | None) -> str:
     return f" ({', '.join(parts)})" if parts else ""
 
 
+def _validated(
+    rows: Iterable[tuple[str, float, float, str, int | None]],
+    file_durations: Mapping[str, float],
+    allowed: frozenset[str] | None,
+    source: str | None,
+) -> Iterator[Event]:
+    """Yield the checked event of each ``(file_id, onset, offset, label, line)`` row.
+
+    The one loop from row to event: a fault is re-raised with ``source``
+    and the row's line appended, and of several faulty rows the first one
+    is reported.
+    """
+    line = None
+    try:
+        for file_id, onset, offset, label, line in rows:
+            ev = Event(file_id, onset, offset, label)
+            _check_placement(ev, file_durations, allowed)
+            yield ev
+    except ValidationError as exc:
+        raise type(exc)(f"{exc}{_where(source, line)}") from None
+
+
 def validate_events(
     rows: Iterable[object],
     file_durations: Mapping[str, float],
@@ -260,20 +298,8 @@ def validate_events(
     Validation is idempotent: feeding back the events of a valid EventSet
     reproduces it exactly.
     """
-    if isinstance(rows, EventSet):
-        rows = rows.events
     allowed = None if allowed_classes is None else frozenset(allowed_classes)
-    out: list[Event] = []
-    line = None
-    try:
-        for row in rows:
-            line = getattr(row, "line", None)
-            ev = _row_event(row)
-            _check_placement(ev, file_durations, allowed)
-            out.append(ev)
-    except ValidationError as exc:
-        raise type(exc)(f"{exc}{_where(source, line)}") from None
-    return EventSet(tuple(out))
+    return EventSet(tuple(_validated(map(_row_fields, rows), file_durations, allowed, source)))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, ValidationError
-from .events import CollarParams, Dataset, EvalParams, Event, EventSet, _check_placement, _where
+from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError
+from .events import CollarParams, Dataset, EvalParams, EventSet, _validated
 from .matching import CountsMatrix, _tally, _Verdict, _verdicts, count_matrix
 from .psdroc import ClassCurve, PsdRoc
 from .rates import ClassRates, F1Report
@@ -185,28 +185,6 @@ def load_durations(path: str | Path) -> dict[str, float]:
     return parse_durations_table(_read_table(path), source=str(path))
 
 
-def _events(
-    numbered: Iterable[tuple[int, str]],
-    source: str,
-    file_durations: Mapping[str, float],
-    allowed: frozenset[str] | None,
-) -> Iterator[Event]:
-    """Yield the validated event of each numbered line of an event table, in one pass.
-
-    Gives the events ``validate_events(load_event_table(path), ...)`` gives,
-    with the same message for each fault; of several faulty rows, the
-    first one is reported.
-    """
-    lineno = None
-    try:
-        for filename, onset, offset, label, lineno in _event_rows(numbered, source):
-            event = Event(filename, onset, offset, label)
-            _check_placement(event, file_durations, allowed)
-            yield event
-    except ValidationError as exc:
-        raise type(exc)(f"{exc}{_where(source, lineno)}") from None
-
-
 def _load_events(
     path: str | Path,
     file_durations: Mapping[str, float],
@@ -215,8 +193,8 @@ def _load_events(
     """Read an event table straight into validated events, one pass per row."""
     source = str(path)
     allowed = None if allowed_classes is None else frozenset(allowed_classes)
-    numbered = _lines(_read_table(Path(path)), EVENT_HEADER, source)
-    return EventSet(tuple(_events(numbered, source, file_durations, allowed)))
+    rows = _event_rows(_lines(_read_table(Path(path)), EVENT_HEADER, source), source)
+    return EventSet(tuple(_validated(rows, file_durations, allowed, source)))
 
 
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
@@ -274,7 +252,8 @@ def sweep_operating_points(
             lines.append(line)
             if line not in known and line not in fresh:
                 fresh[line] = lineno
-        events = _events(zip(fresh.values(), fresh), source, dataset.file_durations, allowed)
+        rows = _event_rows(zip(fresh.values(), fresh), source)
+        events = _validated(rows, dataset.file_durations, allowed, source)
         known.update(zip(fresh, _verdicts(events, dataset, params)))
         verdicts = list(map(known.__getitem__, lines))
         counts[path.stem] = _tally(verdicts, dataset, params)

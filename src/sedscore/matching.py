@@ -35,7 +35,6 @@ the detections, bisecting for onsets within the collar.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -238,22 +237,6 @@ def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
     return True
 
 
-def _onset_window(index: OnsetIndex, x: Event, collar: float) -> list[int]:
-    """Input positions of the indexed events of ``x``'s file with onsets near ``x``'s.
-
-    The window reaches ``collar`` either side, widened by a relative 1e-9,
-    far more than the rounding of ``a - b`` in :func:`_collar_hit`, so
-    rounding never drops a candidate; the caller re-checks each one.
-    """
-    span = index.spans.get(x.file_id)
-    if span is None:
-        return []
-    reach = collar + (x.onset + collar) * 1e-9
-    lo = bisect_left(index.onsets, x.onset - reach, *span)
-    hi = bisect_right(index.onsets, x.onset + reach, lo, span[1])
-    return index.order[lo:hi]
-
-
 def collar_match(
     dets_c: Sequence[Event],
     gt_c: Sequence[Event],
@@ -270,7 +253,7 @@ def collar_match(
     matched: set[int] = set()
     n_fp = 0
     for det in dets_c:
-        window = _onset_window(index, det, collar.collar)
+        window = index.onset_window(det, collar.collar)
         hits = [i for i in window if _collar_hit(det, gt_c[i], collar)]
         if hits:
             matched.update(hits)

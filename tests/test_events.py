@@ -24,6 +24,7 @@ from sedscore import (
     total_intersection,
     validate_events,
 )
+from sedscore.io import TableRow
 
 
 def ev(onset, offset, file_id="f1", label="dog"):
@@ -132,6 +133,34 @@ class TestValidateEvents:
         es = validate_events(rows, self.DUR)
         assert len(es) == 3
         assert es.events[0] == es.events[1]
+
+    @pytest.mark.parametrize(
+        "row",
+        [("f1", "1.5", "3", "dog"), ("f1", 1.5, 3.0, "dog", 0.9), ["f1", 1.5, 3.0, "dog"]],
+        ids=["string-fields", "score-field", "list"],
+    )
+    def test_accepts_row_shapes(self, row):
+        es = validate_events([row], self.DUR)
+        assert es.events == (Event("f1", 1.5, 3.0, "dog"),)
+
+    def test_events_and_tuples_mixed(self):
+        events = (Event("f1", 1.0, 3.0, "dog"), Event("f1", 0.5, 2.0, "cat"))
+        assert validate_events(events, self.DUR).events == events
+        mixed = [events[0], ("f1", 0.5, 2.0, "cat")]
+        assert validate_events(mixed, self.DUR).events == events
+
+    @pytest.mark.parametrize(
+        "row, source, suffix",
+        [
+            (TableRow("f9", 0.0, 1.0, "dog", 7), None, " (line 7)"),
+            (Event("f9", 0.0, 1.0, "dog"), "x.tsv", " (x.tsv)"),
+        ],
+        ids=["table-row", "event"],
+    )
+    def test_error_names_source_and_line(self, row, source, suffix):
+        with pytest.raises(UnknownFile) as info:
+            validate_events([row], self.DUR, source=source)
+        assert str(info.value) == f"no duration entry for file 'f9'{suffix}"
 
 
 class TestEventSet:

@@ -2,9 +2,12 @@
 
 ``load_detections`` and ``load_dataset`` read a table straight into
 validated events; ``load_event_table`` followed by ``validate_events`` is
-the public path that does the same in two passes. On the golden corpus's
-files and classes, a table that is valid or has one faulty row must give
-the same events, or the same exception type and message, on both paths.
+the public path that does the same in two passes. Both share one loop from
+row to event, ``events._validated``, so what these tests pin is how each
+path turns a table row into that loop's input and which fault each reports
+first. On the golden corpus's files and classes, a table that is valid or
+has one faulty row must give the same events, or the same exception type
+and message, on both paths.
 """
 
 from __future__ import annotations
