@@ -34,27 +34,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--durations", required=True, type=Path, help="per-file durations table (TSV)"
     )
-    common.add_argument("--dtc", type=float, default=0.5, help="detection tolerance (default 0.5)")
-    common.add_argument(
-        "--gtc", type=float, default=0.5, help="ground-truth tolerance (default 0.5)"
-    )
-    common.add_argument(
-        "--cttc", type=float, default=0.3, help="cross-trigger tolerance (default 0.3)"
-    )
-    common.add_argument(
-        "--alpha-ct", type=float, default=0.0, help="cross-trigger cost weight (default 0)"
-    )
-    common.add_argument(
-        "--alpha-st", type=float, default=0.0, help="instability cost weight (default 0)"
-    )
-    common.add_argument(
-        "--emax", type=float, default=100.0, help="eFPR budget in rate units (default 100)"
-    )
+    for flag, default, text in (
+        ("--dtc", EvalParams.dtc_threshold, "detection tolerance"),
+        ("--gtc", EvalParams.gtc_threshold, "ground-truth tolerance"),
+        ("--cttc", EvalParams.cttc_threshold, "cross-trigger tolerance"),
+        ("--alpha-ct", EvalParams.alpha_ct, "cross-trigger cost weight"),
+        ("--alpha-st", EvalParams.alpha_st, "instability cost weight"),
+        ("--emax", EvalParams.max_efpr, "eFPR budget in rate units"),
+    ):
+        common.add_argument(flag, type=float, default=default, help=f"{text} (default %(default)s)")
     common.add_argument(
         "--unit",
         choices=[u.value for u in TimeUnit],
-        default=TimeUnit.HOUR.value,
-        help="time unit for rates (default hour)",
+        default=EvalParams.time_unit.value,
+        help="time unit for rates (default %(default)s)",
     )
     common.add_argument("--out", type=Path, default=None, help="write report here (default stdout)")
     common.add_argument("--format", choices=["json", "tsv"], default="json")
@@ -89,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--collar-ratio",
         type=float,
         default=None,
-        help="offset collar as a fraction of each ground truth's duration (default 0.2)",
+        help="offset collar as a fraction of each ground truth's duration "
+        f"(default {CollarParams.offset_ratio})",
     )
     p_f1.add_argument(
         "--no-offset-check", action="store_true", help="match on onsets only in collar mode"
@@ -128,7 +122,7 @@ def _collar_params(args: argparse.Namespace) -> CollarParams | None:
         return None
     return CollarParams(
         collar=args.collar,
-        offset_ratio=0.2 if args.collar_ratio is None else args.collar_ratio,
+        offset_ratio=CollarParams.offset_ratio if args.collar_ratio is None else args.collar_ratio,
         check_offset=not args.no_offset_check,
     )
 

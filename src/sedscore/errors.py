@@ -5,6 +5,23 @@ so callers (and the CLI) can catch one type. Programming errors such as
 invalid parameter objects raise plain ``ValueError`` instead.
 """
 
+__all__ = [
+    "SedScoreError",
+    "ValidationError",
+    "NonPositiveDuration",
+    "NegativeOnset",
+    "UnknownFile",
+    "EventExceedsFileDuration",
+    "UnknownClassLabel",
+    "ParseError",
+    "MalformedHeader",
+    "BadRow",
+    "NoOperatingPoints",
+    "EmptyClassGroundTruth",
+    "ZeroLabelDuration",
+    "DegenerateClassCount",
+]
+
 
 class SedScoreError(Exception):
     """Base class for all input-data errors raised by this package."""
