@@ -24,7 +24,7 @@ from .io import (
     sweep_operating_points,
 )
 from .matching import collar_counts, count_matrix
-from .psdroc import psd_roc_from_rates
+from .psdroc import psd_roc_from_counts
 from .rates import compute_rates, f1_scores
 
 
@@ -146,8 +146,7 @@ def _run(args: argparse.Namespace, params: EvalParams, collar: CollarParams | No
         return build_f1_report(counts, f1_scores(counts), dataset, params, collar=collar)
 
     counts_by_op = sweep_operating_points(args.det_dir, dataset, params)
-    rates_by_op = {op: compute_rates(cm, dataset, params) for op, cm in counts_by_op.items()}
-    roc = psd_roc_from_rates(rates_by_op, params, clamp=clamp)
+    roc = psd_roc_from_counts(counts_by_op, dataset, params, clamp=clamp)
     return build_psds_report(roc, dataset, params, include_psds=args.command == "psds")
 
 

@@ -15,11 +15,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .events import EvalParams
-from .rates import ClassRates, effective_tpr
+from .errors import DegenerateClassCount
+from .events import Dataset, EvalParams
+from .matching import CountsMatrix
+from .rates import ClassRates, _class_values, _unit_scales, compute_rates, effective_tpr
 
 __all__ = [
     "OpPoint",
@@ -29,13 +31,16 @@ __all__ = [
     "staircase",
     "merge_psd_roc",
     "integrate_psds",
+    "psd_roc_from_counts",
     "psd_roc_from_rates",
 ]
 
 
-@dataclass(frozen=True)
-class OpPoint:
-    """One class's (eFPR, TP ratio) coordinates at one operating point."""
+class OpPoint(NamedTuple):
+    """One class's (eFPR, TP ratio) coordinates at one operating point.
+
+    A tuple, so points order by eFPR, then TP ratio, then op id.
+    """
 
     efpr: float
     tp_ratio: float
@@ -98,10 +103,9 @@ def pareto_filter(points: Sequence[OpPoint]) -> list[OpPoint]:
     One sort plus a running maximum of the TP ratio over all points at or
     below each eFPR, so the cost is O(P log P).
     """
-    ordered = sorted(points, key=lambda p: (p.efpr, p.tp_ratio, p.op_id))
     kept: list[OpPoint] = []
     best = -math.inf
-    for _, group in groupby(ordered, key=attrgetter("efpr")):
+    for _, group in groupby(sorted(points), key=itemgetter(0)):
         group = list(group)
         best = max(best, group[-1].tp_ratio)  # a group ascends in TP ratio
         kept.extend(p for p in group if p.tp_ratio >= best)
@@ -184,6 +188,62 @@ def merge_psd_roc(
     )
 
 
+def _common_classes(class_seqs: Iterable[Iterable[str]]) -> tuple[str, ...]:
+    class_sets = {tuple(sorted(classes)) for classes in class_seqs}
+    if len(class_sets) != 1:
+        raise ValueError("operating points disagree on the class set")
+    return class_sets.pop()
+
+
+def _psd_roc(
+    op_points: Mapping[str, tuple[OpPoint, ...]], params: EvalParams, clamp: bool
+) -> PsdRoc:
+    curves = {c: staircase(pareto_filter(points), c) for c, points in op_points.items()}
+    return merge_psd_roc(
+        curves,
+        params.alpha_st,
+        params.max_efpr,
+        clamp=clamp,
+        params=params,
+        op_points=op_points,
+    )
+
+
+def psd_roc_from_counts(
+    counts_by_op: Mapping[str, CountsMatrix],
+    dataset: Dataset,
+    params: EvalParams,
+    *,
+    clamp: bool = True,
+) -> PsdRoc:
+    """Full pipeline from per-operating-point counts to the PSD ROC.
+
+    ``counts_by_op`` maps operating-point ids to counts, as produced by
+    :func:`sedscore.io.sweep_operating_points`. The result, and any
+    exception, equals that of :func:`psd_roc_from_rates` on
+    :func:`sedscore.rates.compute_rates` of each op, without building the
+    per-class rate objects.
+    """
+    if not counts_by_op:
+        raise ValueError("psd_roc_from_counts needs at least one operating point")
+    total_units, label_units = _unit_scales(dataset, params)
+    try:
+        classes = _common_classes(counts.classes for counts in counts_by_op.values())
+        columns: dict[str, list[OpPoint]] = {c: [] for c in classes}
+        for op in sorted(counts_by_op):
+            values = _class_values(counts_by_op[op], total_units, label_units, params.alpha_ct)
+            for c, tp_ratio, _, _, efpr in values:
+                columns[c].append(OpPoint(efpr, tp_ratio, op))
+    except (ZeroDivisionError, KeyError, DegenerateClassCount, ValueError):
+        # The rates of some op are undefined, or the class sets differ:
+        # compute_rates checks the ops in their order and raises its error
+        # for the first faulty one, before the class sets are compared.
+        for counts in counts_by_op.values():
+            compute_rates(counts, dataset, params)
+        raise
+    return _psd_roc({c: tuple(points) for c, points in columns.items()}, params, clamp)
+
+
 def psd_roc_from_rates(
     rates_by_op: Mapping[str, Mapping[str, ClassRates]],
     params: EvalParams,
@@ -200,23 +260,9 @@ def psd_roc_from_rates(
     """
     if not rates_by_op:
         raise ValueError("psd_roc_from_rates needs at least one operating point")
-    class_sets = {tuple(sorted(rates)) for rates in rates_by_op.values()}
-    if len(class_sets) != 1:
-        raise ValueError("operating points disagree on the class set")
-    classes = class_sets.pop()
+    ops = sorted(rates_by_op)
     op_points = {
-        c: tuple(
-            OpPoint(efpr=rates_by_op[op][c].efpr, tp_ratio=rates_by_op[op][c].tp_ratio, op_id=op)
-            for op in sorted(rates_by_op)
-        )
-        for c in classes
+        c: tuple(OpPoint(rates_by_op[op][c].efpr, rates_by_op[op][c].tp_ratio, op) for op in ops)
+        for c in _common_classes(rates_by_op.values())
     }
-    curves = {c: staircase(pareto_filter(op_points[c]), c) for c in classes}
-    return merge_psd_roc(
-        curves,
-        params.alpha_st,
-        params.max_efpr,
-        clamp=clamp,
-        params=params,
-        op_points=op_points,
-    )
+    return _psd_roc(op_points, params, clamp)

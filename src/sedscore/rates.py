@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import fmean, pstdev
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DegenerateClassCount, EmptyClassGroundTruth, ZeroLabelDuration
 from .events import Dataset, EvalParams
@@ -84,6 +84,35 @@ def effective_tpr(tp_ratios: Iterable[float], alpha_st: float, *, clamp: bool = 
     return result
 
 
+def _unit_scales(dataset: Dataset, params: EvalParams) -> tuple[float, dict[str, float]]:
+    """The corpus duration and each class's labelled duration in ``params.time_unit``."""
+    unit = params.time_unit.seconds
+    label_units = {c: dur / unit for c, dur in dataset.class_durations.items()}
+    return dataset.total_duration / unit, label_units
+
+
+def _class_values(
+    counts: CountsMatrix,
+    total_units: float,
+    label_units: Mapping[str, float],
+    alpha_ct: float,
+) -> Iterator[tuple[str, float, float, dict[str, float], float]]:
+    """Yield each class's ``(class, tp_ratio, fp_rate, ct_rates, efpr)``.
+
+    Where the checks of :func:`compute_rates` reject ``counts``, this
+    raises instead: ``ZeroDivisionError`` for a zero ground-truth count or
+    labelled duration, ``KeyError`` for a class absent from ``label_units``.
+    """
+    n_classes = len(counts.classes)
+    for c in counts.classes:
+        ct_rates = {
+            other: n_ct / label_units[other] for other, n_ct in counts.cross_triggers[c].items()
+        }
+        fp_rate = counts.n_fp[c] / total_units
+        efpr = effective_fpr(fp_rate, ct_rates, alpha_ct, n_classes)
+        yield c, counts.n_tp[c] / counts.n_gt[c], fp_rate, ct_rates, efpr
+
+
 def compute_rates(
     counts: CountsMatrix,
     dataset: Dataset,
@@ -94,28 +123,26 @@ def compute_rates(
     All rates come out in ``params.time_unit``. The cross-trigger rate map
     of each class is dense over the other classes (zero counts included).
     """
-    unit = params.time_unit.seconds
-    total_units = dataset.total_duration / unit
-    label_units = {c: dur / unit for c, dur in dataset.class_durations.items()}
-    n_classes = len(counts.classes)
-    rates: dict[str, ClassRates] = {}
-    for c in counts.classes:
-        if counts.n_gt[c] == 0:
-            raise EmptyClassGroundTruth(f"class '{c}' has no ground-truth events")
-        ct_rates: dict[str, float] = {}
-        for other, n_ct in counts.cross_triggers[c].items():
-            dur = label_units.get(other, 0.0)
-            if not dur > 0:
-                raise ZeroLabelDuration(f"class '{other}' has zero labelled duration")
-            ct_rates[other] = n_ct / dur
-        fp_rate = counts.n_fp[c] / total_units
-        rates[c] = ClassRates(
-            tp_ratio=counts.n_tp[c] / counts.n_gt[c],
-            fp_rate=fp_rate,
-            ct_rates=ct_rates,
-            efpr=effective_fpr(fp_rate, ct_rates, params.alpha_ct, n_classes),
-        )
-    return rates
+    total_units, label_units = _unit_scales(dataset, params)
+    try:
+        return {
+            c: ClassRates(tp_ratio=tp_ratio, fp_rate=fp_rate, ct_rates=ct_rates, efpr=efpr)
+            for c, tp_ratio, fp_rate, ct_rates, efpr in _class_values(
+                counts, total_units, label_units, params.alpha_ct
+            )
+        }
+    except (ZeroDivisionError, KeyError, DegenerateClassCount):
+        # Name the first faulty class. A single class with cross-trigger
+        # weighting is reported only once its counts pass these checks.
+        for c in counts.classes:
+            if counts.n_gt[c] == 0:
+                raise EmptyClassGroundTruth(f"class '{c}' has no ground-truth events") from None
+            for other in counts.cross_triggers[c]:
+                if not label_units.get(other, 0.0) > 0:
+                    raise ZeroLabelDuration(
+                        f"class '{other}' has zero labelled duration"
+                    ) from None
+        raise
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -28,6 +29,33 @@ def points(*pairs):
 def random_op_points(rng, n=None):
     n = n if n is not None else rng.randint(0, 12)
     return points(*[(rng.uniform(0, 120), rng.random()) for _ in range(n)])
+
+
+def keyed_pareto_filter(points):
+    """The filter as written while OpPoint was a dataclass: an explicit sort key."""
+    ordered = sorted(points, key=lambda p: (p.efpr, p.tp_ratio, p.op_id))
+    kept, best = [], -math.inf
+    for _, group in groupby(ordered, key=lambda p: p.efpr):
+        group = list(group)
+        best = max(best, group[-1].tp_ratio)
+        kept.extend(p for p in group if p.tp_ratio >= best)
+    return kept
+
+
+class TestOpPoint:
+    def test_keyword_construction_and_default_op_id(self):
+        p = OpPoint(efpr=2.0, tp_ratio=0.5)
+        assert (p.efpr, p.tp_ratio, p.op_id) == (2.0, 0.5, "")
+        assert OpPoint(efpr=2.0, tp_ratio=0.5, op_id="x").op_id == "x"
+
+    def test_field_names_and_order(self):
+        assert OpPoint._fields == ("efpr", "tp_ratio", "op_id")
+        assert tuple(OpPoint(1.0, 0.25, "x")) == (1.0, 0.25, "x")
+
+    def test_equals_plain_tuple_and_orders_by_fields(self):
+        assert OpPoint(1.0, 0.5, "x") == (1.0, 0.5, "x")
+        assert OpPoint(1.0, 0.5, "b") < OpPoint(1.0, 0.6, "a") < OpPoint(2.0, 0.0, "a")
+        assert OpPoint(1.0, 0.5, "a") < OpPoint(1.0, 0.5, "b")
 
 
 class TestParetoFilter:
@@ -57,6 +85,23 @@ class TestParetoFilter:
             ratios = [p.tp_ratio for p in kept]
             assert efprs == sorted(efprs)
             assert ratios == sorted(ratios)
+
+    def test_tied_points_keep_the_keyed_sort_order(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            # coarse grids and repeated op ids, so whole points tie too
+            pts = [
+                OpPoint(rng.choice((0.0, 1.0, 2.0)), rng.choice((0.0, 0.5, 1.0)), rng.choice("ab"))
+                for _ in range(rng.randint(0, 12))
+            ]
+            assert [id(p) for p in pareto_filter(pts)] == [id(p) for p in keyed_pareto_filter(pts)]
+
+    def test_staircase_unchanged_on_random_points(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            pts = random_op_points(rng)
+            assert pareto_filter(pts) == keyed_pareto_filter(pts)
+            assert staircase(pareto_filter(pts), "c") == staircase(keyed_pareto_filter(pts), "c")
 
 
 class TestStaircase:
