@@ -8,7 +8,8 @@ line. Lines end at ``\n``, with one ``\r`` before it dropped, so line
 numbers are the file's own. ``load_dataset`` and ``load_detections`` turn
 each row into a validated event in one pass, so of several faulty rows
 the first is reported. A sweep is a directory with one detection table
-per operating point; the file stem names the operating point. Its tables
+per operating point; the file stem names the operating point. A table
+byte-identical to the previous one reuses that table's counts. Tables
 often nest, so a row whose exact text appeared in the previous table, or
 earlier in the same one, reuses that row's match record instead of being
 parsed, validated and matched again, until a table reuses too few rows
@@ -191,9 +192,18 @@ def _load_events(
     allowed_classes: Sequence[str] | None = None,
 ) -> EventSet:
     """Read an event table straight into validated events, one pass per row."""
-    source = str(path)
     allowed = None if allowed_classes is None else frozenset(allowed_classes)
-    rows = _event_rows(_lines(_read_table(Path(path)), EVENT_HEADER, source), source)
+    return _text_events(_read_table(Path(path)), str(path), file_durations, allowed)
+
+
+def _text_events(
+    text: str,
+    source: str,
+    file_durations: Mapping[str, float],
+    allowed: frozenset[str] | None,
+) -> EventSet:
+    """The validated events of an event table's text."""
+    rows = _event_rows(_lines(text, EVENT_HEADER, source), source)
     return EventSet(tuple(_validated(rows, file_durations, allowed, source)))
 
 
@@ -221,8 +231,11 @@ def sweep_operating_points(
     the offending file; a partial sweep would make scores incomparable.
 
     Each table gives what ``count_matrix(load_detections(path, ...))``
-    gives. A line whose exact text appeared in the previous table, or
-    earlier in the same one, reuses that line's record: the tables of a
+    gives. A table whose text is byte for byte that of the previous table,
+    as when a threshold crosses no detection score, is not scored again:
+    identical consecutive tables share one ``CountsMatrix`` object. Of
+    other tables, a line whose exact text appeared in the previous table,
+    or earlier in the same one, reuses that line's record: the tables of a
     threshold sweep often nest, so most rows are scored once per sweep.
     Looking a line up costs a small fraction of scoring it, but it is paid
     on every line, so once a table reuses the record of fewer than one line
@@ -240,15 +253,22 @@ def sweep_operating_points(
     # line text -> record: the previous table's lines, and this table's once
     # scored; None once the tables stop repeating lines
     known: dict[str, _Verdict] | None = {}
+    previous = None  # the previous table's text
     for path in paths:
-        if known is None:
-            counts[path.stem] = count_matrix(load_detections(path, dataset), dataset, params)
+        text = _read_table(path)
+        if text == previous:
+            counts[path.stem] = matrix
             continue
+        previous = text
         source = str(path)
+        if known is None:
+            events = _text_events(text, source, dataset.file_durations, allowed)
+            counts[path.stem] = matrix = count_matrix(events, dataset, params)
+            continue
         compared = bool(known)  # false for the first table and after an empty one
         lines: list[str] = []
         fresh: dict[str, int] = {}  # line text -> line number, where it first appears
-        for lineno, line in _lines(_read_table(path), EVENT_HEADER, source):
+        for lineno, line in _lines(text, EVENT_HEADER, source):
             lines.append(line)
             if line not in known and line not in fresh:
                 fresh[line] = lineno
@@ -256,7 +276,7 @@ def sweep_operating_points(
         events = _validated(rows, dataset.file_durations, allowed, source)
         known.update(zip(fresh, _verdicts(events, dataset, params)))
         verdicts = list(map(known.__getitem__, lines))
-        counts[path.stem] = _tally(verdicts, dataset, params)
+        counts[path.stem] = matrix = _tally(verdicts, dataset, params)
         if compared and 10 * (len(lines) - len(fresh)) < len(lines):
             known = None
         else:

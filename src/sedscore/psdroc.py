@@ -222,7 +222,10 @@ def psd_roc_from_counts(
     :func:`sedscore.io.sweep_operating_points`. The result, and any
     exception, equals that of :func:`psd_roc_from_rates` on
     :func:`sedscore.rates.compute_rates` of each op, without building the
-    per-class rate objects.
+    per-class rate objects. The sweep gives identical consecutive tables
+    one shared ``CountsMatrix`` object; an op whose counts are the same
+    object as those of the op before it, in op-id order, reuses that op's
+    class values.
     """
     if not counts_by_op:
         raise ValueError("psd_roc_from_counts needs at least one operating point")
@@ -230,9 +233,18 @@ def psd_roc_from_counts(
     try:
         classes = _common_classes(counts.classes for counts in counts_by_op.values())
         columns: dict[str, list[OpPoint]] = {c: [] for c in classes}
+        previous = None  # the counts of the previous op, whose values are in ``values``
         for op in sorted(counts_by_op):
-            values = _class_values(counts_by_op[op], total_units, label_units, params.alpha_ct)
-            for c, tp_ratio, _, _, efpr in values:
+            counts = counts_by_op[op]
+            if counts is not previous:
+                previous = counts
+                values = [
+                    (c, efpr, tp_ratio)
+                    for c, tp_ratio, _, _, efpr in _class_values(
+                        counts, total_units, label_units, params.alpha_ct
+                    )
+                ]
+            for c, efpr, tp_ratio in values:
                 columns[c].append(OpPoint(efpr, tp_ratio, op))
     except (ZeroDivisionError, KeyError, DegenerateClassCount, ValueError):
         # The rates of some op are undefined, or the class sets differ:

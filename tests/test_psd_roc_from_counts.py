@@ -3,10 +3,14 @@
 ``psd_roc_from_counts`` must give exactly what ``psd_roc_from_rates`` gives
 on ``compute_rates`` of each operating point: the same floats, compared
 with ``==``, and the same exception type and message, raised for the
-same operating point and class.
+same operating point and class. Ops may share one ``CountsMatrix`` object,
+as the identical consecutive tables of a sweep do; the class values of a
+run of ops sharing one object, in op-id order, are computed once.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from sedscore import (
     psd_roc_from_counts,
     psd_roc_from_rates,
 )
+from sedscore.rates import _class_values
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -57,10 +62,17 @@ def sweeps(draw):
     n_gt = {c: draw(st.integers(1, 40)) for c in classes}
     # op ids in a drawn order, so iteration order and sorted order differ
     ops = draw(st.permutations([f"op{k:02d}" for k in range(draw(st.integers(1, 8)))]))
-    counts_by_op = {}
-    for op in ops:
+    by_id = {}  # op id -> counts, drawn in op-id order
+    for op in sorted(ops):
+        share = draw(st.integers(0, 3)) if by_id else 0
+        if share == 1:  # the object of the op before it in op-id order
+            by_id[op] = by_id[max(by_id)]
+            continue
+        if share == 2:  # the object of any earlier op, adjacent or not
+            by_id[op] = by_id[draw(st.sampled_from(sorted(by_id)))]
+            continue
         n_sys = {c: draw(small_count) for c in classes}
-        counts_by_op[op] = CountsMatrix(
+        by_id[op] = CountsMatrix(
             classes=tuple(classes),
             n_gt=n_gt,
             n_sys=n_sys,
@@ -71,6 +83,7 @@ def sweeps(draw):
                 for c in classes
             },
         )
+    counts_by_op = {op: by_id[op] for op in ops}
     alpha_ct = 0.0 if n_classes == 1 else draw(st.sampled_from((0.0, 0.5, 1.0, 3.7)))
     params = EvalParams(
         alpha_ct=alpha_ct,
@@ -81,12 +94,20 @@ def sweeps(draw):
     return counts_by_op, dataset, params, draw(st.booleans())
 
 
+def runs(counts_by_op):
+    """The number of runs of one shared counts object, in op-id order."""
+    matrices = [counts_by_op[op] for op in sorted(counts_by_op)]
+    return 1 + sum(after is not before for before, after in zip(matrices, matrices[1:]))
+
+
 @PROPERTY
 @given(sweeps())
 def test_counts_path_equals_rates_path(sweep):
     counts_by_op, dataset, params, clamp = sweep
     expected = via_rates(counts_by_op, dataset, params, clamp=clamp)
-    roc = psd_roc_from_counts(counts_by_op, dataset, params, clamp=clamp)
+    with mock.patch("sedscore.psdroc._class_values", wraps=_class_values) as class_values:
+        roc = psd_roc_from_counts(counts_by_op, dataset, params, clamp=clamp)
+    assert class_values.call_count == runs(counts_by_op)
     assert roc.op_points == expected.op_points
     assert {c: curve.breakpoints for c, curve in roc.curves.items()} == {
         c: curve.breakpoints for c, curve in expected.curves.items()
@@ -94,6 +115,19 @@ def test_counts_path_equals_rates_path(sweep):
     assert roc.points == expected.points
     assert roc.psds == expected.psds
     assert roc == expected
+
+
+def test_class_values_run_once_per_run_of_one_counts_object():
+    a, b = counts(), counts(n_gt=2)
+    # 'a' twice, 'b' three times, then 'a' again: three runs in op-id order,
+    # in a mapping whose own order differs
+    counts_by_op = {"op6": a, "op3": b, "op1": a, "op2": a, "op4": b, "op5": b}
+    assert runs(counts_by_op) == 3
+    with mock.patch("sedscore.psdroc._class_values", wraps=_class_values) as class_values:
+        roc = psd_roc_from_counts(counts_by_op, DATASET, EvalParams(alpha_ct=1.0))
+    assert class_values.call_count == 3
+    assert roc == via_rates(counts_by_op, DATASET, EvalParams(alpha_ct=1.0))
+    assert [p.op_id for p in roc.op_points["a"]] == [f"op{k}" for k in range(1, 7)]
 
 
 # --- error parity ------------------------------------------------------------

@@ -4,12 +4,14 @@
 appeared in the previous table or earlier in the same table. Whatever the
 tables look like, the sweep must give, table by table, what
 ``count_matrix(load_detections(path, ...))`` gives. The tables are drawn
-from one candidate list, nested or not, with repeated rows, CRLF line ends
-and header-only tables; candidates include rows that differ from another
-in one field only, and ``split_instances`` puts a ground truth's GTC
-verdict on a tie that only summation in detection order reproduces.
-Once a table reuses fewer than one row in ten, the rest of the sweep is
-scored without lookups; the unit tests below pin where that happens.
+from one candidate list, nested or not, with repeated rows, CRLF line ends,
+header-only tables and tables byte-identical to the one before them;
+candidates include rows that differ from another in one field only, and
+``split_instances`` puts a ground truth's GTC verdict on a tie that only
+summation in detection order reproduces. A table byte-identical to the
+previous one shares that table's counts object. Once a table reuses fewer
+than one row in ten, the rest of the sweep is scored without lookups; the
+unit tests below pin where that happens.
 """
 
 from __future__ import annotations
@@ -53,9 +55,11 @@ def near_copies(draw, rows, classes):
 
 @st.composite
 def sweeps(draw):
-    """A split instance and its sweep: ``(gt_rows, tables, whole, target)``.
+    """A split instance and its sweep: ``(gt_rows, tables, layouts, whole, target)``.
 
-    ``tables`` maps a file name to the table's rows, in row order.
+    ``tables`` maps a file name to the table's rows, in row order, and
+    ``layouts`` maps it to the table's line end and whether the last row
+    ends with one. Some tables repeat the previous table byte for byte.
     """
     gt_rows, det_rows, whole, _, target = draw(split_instances())
     classes = sorted({r[3] for r in gt_rows})
@@ -74,23 +78,31 @@ def sweeps(draw):
         subsets = [ranked[:n] for n in sizes]
         if shape == "descending":
             subsets.reverse()
-    tables = {}
+    tables, layouts = {}, {}
     for k, rows in enumerate(subsets):
+        name = f"op_{k:02d}.tsv"
+        if k and draw(st.integers(0, 3)) == 0:  # the previous table, byte for byte
+            previous = f"op_{k - 1:02d}.tsv"
+            tables[name], layouts[name] = tables[previous], layouts[previous]
+            continue
         rows = list(draw(st.permutations(rows)))
         if rows and draw(st.booleans()):  # a repeated row
             rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
         if draw(st.integers(0, 5)) == 0:  # header only
             rows = []
-        tables[f"op_{k:02d}.tsv"] = rows
-    return gt_rows, tables, whole, target
+        tables[name] = rows
+        layouts[name] = (draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()))
+    return gt_rows, tables, layouts, whole, target
 
 
-def _write(det_dir: Path, tables, data) -> None:
+def _table_text(rows, newline="\n", line_end=True) -> str:
+    text = newline.join([HEADER, *rows])
+    return text + newline if line_end else text
+
+
+def _write(det_dir: Path, tables, layouts) -> None:
     for name, rows in tables.items():
-        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
-        text = newline.join([HEADER, *map(_text, rows)])
-        if data.draw(st.booleans()):
-            text += newline
+        text = _table_text(map(_text, rows), *layouts[name])
         (det_dir / name).write_bytes(text.encode("utf-8"))
 
 
@@ -104,7 +116,7 @@ def _per_table(det_dir: Path, dataset, params):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(sweeps(), st.data())
 def test_sweep_equals_count_matrix_of_each_table(sweep, data):
-    gt_rows, tables, whole, target = sweep
+    gt_rows, tables, layouts, whole, target = sweep
     dataset = as_dataset(gt_rows)
     ground_truth = dataset.ground_truth
     dtc, gtc, cttc = data.draw(threshold), data.draw(threshold), data.draw(threshold)
@@ -121,11 +133,17 @@ def test_sweep_equals_count_matrix_of_each_table(sweep, data):
     other = default_params(dtc_threshold=data.draw(threshold), cttc_threshold=data.draw(threshold))
     with tempfile.TemporaryDirectory() as tmp:
         det_dir = Path(tmp)
-        _write(det_dir, tables, data)
+        _write(det_dir, tables, layouts)
         swept = sweep_operating_points(det_dir, dataset, params)
         expected = _per_table(det_dir, dataset, params)
         assert swept == expected
         assert list(swept) == list(expected)
+        # a table byte-identical to the previous one, and only such a table,
+        # shares its counts object
+        matrices = list(swept.values())
+        texts = [(det_dir / name).read_bytes() for name in tables]
+        for k in range(1, len(texts)):
+            assert (matrices[k] is matrices[k - 1]) == (texts[k] == texts[k - 1])
         # a second call on the same tables with other params: nothing carries over
         assert sweep_operating_points(det_dir, dataset, other) == _per_table(det_dir, dataset, other)
         for stem, counts in swept.items():
@@ -191,11 +209,11 @@ def test_fault_after_the_sweep_stops_reusing_records_is_reported_as_for_the_tabl
     assert swept == alone
 
 
-def _scored_without_lookups(tmp_path, monkeypatch, tables):
-    """Write ``tables`` as a sweep and return the stems scored without lookups."""
-    for k, rows in enumerate(tables):
-        (tmp_path / f"op_{k}.tsv").write_text("\n".join([HEADER, *rows]) + "\n")
-    seen = []  # what count_matrix returned
+def _sweep_texts(tmp_path, monkeypatch, texts):
+    """Sweep tables of the given texts; return the counts and what count_matrix returned."""
+    for k, text in enumerate(texts):
+        (tmp_path / f"op_{k}.tsv").write_bytes(text.encode("utf-8"))
+    seen = []
 
     def count_matrix_seen(detections, dataset, params):
         seen.append(count_matrix(detections, dataset, params))
@@ -205,13 +223,24 @@ def _scored_without_lookups(tmp_path, monkeypatch, tables):
     params = default_params()
     swept = sweep_operating_points(tmp_path, GOLDEN_DATASET, params)
     assert swept == _per_table(tmp_path, GOLDEN_DATASET, params)
+    return swept, seen
+
+
+def _scored_without_lookups(tmp_path, monkeypatch, tables):
+    """Write ``tables`` as a sweep and return the stems scored without lookups."""
+    swept, seen = _sweep_texts(tmp_path, monkeypatch, map(_table_text, tables))
     return [stem for stem, counts in swept.items() if any(counts is c for c in seen)]
 
 
+# Tables that put the sweep past the stop rule: op_1 reuses 1 row of 11.
+FRESH = [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(10)]
+PHASES = {"lookups": [], "after the stop rule": [[ROWS[0]], [ROWS[0], *FRESH]]}
+
+
 def test_lookups_stop_once_a_table_reuses_under_a_tenth_of_its_rows(tmp_path, monkeypatch):
-    # op_1 reuses 1 row of 11, op_2 and op_3 repeat op_1 but are scored without lookups
-    fresh = [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(10)]
-    tables = [[ROWS[0]], [ROWS[0], *fresh], [ROWS[0], *fresh], []]
+    # op_2 holds op_1's rows in another order, so it is no byte-identical
+    # repeat, and it and op_3 are scored without lookups
+    tables = [*PHASES["after the stop rule"], [*FRESH, ROWS[0]], []]
     assert _scored_without_lookups(tmp_path, monkeypatch, tables) == ["op_2", "op_3"]
 
 
@@ -220,6 +249,42 @@ def test_lookups_go_on_while_a_table_reuses_a_tenth_of_its_rows(tmp_path, monkey
     fresh = [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(9)]
     tables = [OTHER_ROWS, [], ROWS, [ROWS[0], *fresh], fresh]
     assert _scored_without_lookups(tmp_path, monkeypatch, tables) == []
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_a_byte_identical_table_shares_the_previous_tables_counts(tmp_path, monkeypatch, phase):
+    prefix = list(map(_table_text, PHASES[phase]))
+    texts = [*prefix, *map(_table_text, [ROWS, ROWS, ROWS + OTHER_ROWS, ROWS + OTHER_ROWS])]
+    swept, seen = _sweep_texts(tmp_path, monkeypatch, texts)
+    a, a_again, b, b_again = list(swept.values())[len(prefix):]
+    assert a_again is a and b_again is b
+    assert b is not a
+    # after the stop rule only the first table of each run reaches count_matrix
+    assert len(seen) == (2 if prefix else 0)
+
+
+@pytest.mark.parametrize("layout", [("\r\n", True), ("\n", False)], ids=["crlf", "no-last-newline"])
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_the_same_rows_in_other_bytes_are_scored_again(tmp_path, monkeypatch, phase, layout):
+    prefix = list(map(_table_text, PHASES[phase]))
+    texts = [*prefix, _table_text(ROWS), _table_text(ROWS, *layout)]
+    swept, seen = _sweep_texts(tmp_path, monkeypatch, texts)
+    before, after = list(swept.values())[-2:]
+    assert after == before
+    assert after is not before
+    assert len(seen) == (2 if prefix else 0)
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_malformed_header_after_a_byte_identical_table_names_its_table(tmp_path, phase):
+    tables = [*PHASES[phase], ROWS, ROWS]
+    bad = len(tables)
+    for k, rows in enumerate(tables):
+        (tmp_path / f"op_{k}.tsv").write_text(_table_text(rows))
+    (tmp_path / f"op_{bad}.tsv").write_text("\n".join(["filename\tonset\tlabel", *ROWS]) + "\n")
+    with pytest.raises(SedScoreError) as excinfo:
+        sweep_operating_points(tmp_path, GOLDEN_DATASET, default_params())
+    assert str(excinfo.value).startswith(f"{tmp_path / f'op_{bad}.tsv'}:1: expected header")
 
 
 def test_malformed_header_in_a_later_table_names_that_table(tmp_path):
