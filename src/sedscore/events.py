@@ -13,7 +13,8 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -103,7 +104,18 @@ def total_intersection(x: Event, ys: Iterable[Event]) -> float:
     overlap each other, the shared region is counted once per event. The
     result can therefore exceed the duration of ``x``.
     """
-    return sum(intersection_duration(x, y) for y in ys)
+    return _left_sum(intersection_duration(x, y) for y in ys)
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """``values`` added one at a time, left to right, starting from 0.0.
+
+    Builtin ``sum`` does exactly this up to Python 3.11. From 3.12 it
+    compensates the rounding of float sums, so its last digits, and with
+    them a threshold verdict at a near-tie, would depend on the Python
+    version.
+    """
+    return reduce(add, values, 0.0)
 
 
 class OnsetIndex:
@@ -329,7 +341,7 @@ class Dataset:
     @cached_property
     def total_duration(self) -> float:
         """Total corpus duration in seconds."""
-        return sum(self.file_durations.values())
+        return _left_sum(self.file_durations.values())
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -340,7 +352,7 @@ class Dataset:
         """Summed duration of the ground-truth labels of each class."""
         totals: dict[str, float] = {}
         for label, evs in self.ground_truth.by_class.items():
-            totals[label] = sum(ev.duration for ev in evs)
+            totals[label] = _left_sum(ev.duration for ev in evs)
         return totals
 
 

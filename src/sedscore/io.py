@@ -186,16 +186,6 @@ def load_durations(path: str | Path) -> dict[str, float]:
     return parse_durations_table(_read_table(path), source=str(path))
 
 
-def _load_events(
-    path: str | Path,
-    file_durations: Mapping[str, float],
-    allowed_classes: Sequence[str] | None = None,
-) -> EventSet:
-    """Read an event table straight into validated events, one pass per row."""
-    allowed = None if allowed_classes is None else frozenset(allowed_classes)
-    return _text_events(_read_table(Path(path)), str(path), file_durations, allowed)
-
-
 def _text_events(
     text: str,
     source: str,
@@ -210,12 +200,14 @@ def _text_events(
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
     """Load and cross-validate ground truth and durations tables."""
     durations = load_durations(durations_path)
-    return Dataset(ground_truth=_load_events(gt_path, durations), file_durations=durations)
+    events = _text_events(_read_table(Path(gt_path)), str(gt_path), durations, None)
+    return Dataset(ground_truth=events, file_durations=durations)
 
 
 def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
     """Load a detection table, validated against the dataset's files and classes."""
-    return _load_events(path, dataset.file_durations, dataset.classes)
+    allowed = frozenset(dataset.classes)
+    return _text_events(_read_table(Path(path)), str(path), dataset.file_durations, allowed)
 
 
 def sweep_operating_points(

@@ -36,7 +36,6 @@ the detections, bisecting for onsets within the collar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownClassLabel
@@ -114,21 +113,16 @@ def _cross_trigger(
 
 
 def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> dict[str, float]:
-    """Fold :meth:`OnsetIndex.overlaps` hits into one ``sum()`` per class, in hit order.
+    """Fold :meth:`OnsetIndex.overlaps` hits into one running sum per class, in hit order.
 
     Each sum equals :func:`total_intersection` over the class's events, bit for bit.
     """
-    parts: dict[str, list[float]] = {}
+    sums: dict[str, float] = {}
     for i, overlap in hits:
         label = events[i].class_label
-        if label in parts:
-            parts[label].append(overlap)
-        else:
-            parts[label] = [overlap]
-    return {label: sum(overlaps) for label, overlaps in parts.items()}
+        sums[label] = sums.get(label, 0.0) + overlap
+    return sums
 
-
-_second = itemgetter(1)
 
 # A detection's record: ``(label, own, crossed)``. ``own`` lists the
 # ``(ground-truth position, overlap)`` hits of its own class when it passes
@@ -153,7 +147,10 @@ def _verdicts(
         c = det.class_label
         hits = overlaps(det)
         own = [(i, overlap) for i, overlap in hits if gt[i].class_label == c]
-        if sum(map(_second, own)) / (det.offset - det.onset) >= dtc:
+        covered = 0.0  # left to right, as events._left_sum adds; inline in this hot loop
+        for _, overlap in own:
+            covered += overlap
+        if covered / (det.offset - det.onset) >= dtc:
             yield c, own, ()
         else:
             # with no other class in reach, its coverage record is all its own class
@@ -173,8 +170,9 @@ def _tally(verdicts: Iterable[_Verdict], dataset: Dataset, params: EvalParams) -
     n_sys = dict.fromkeys(classes, 0)
     n_fp = dict.fromkeys(classes, 0)
     ct = _no_cross_triggers(classes)
-    # ground-truth input position -> overlaps of relevant detections, in detection order
-    gt_hits: dict[int, list[float]] = {}
+    # ground-truth input position -> sum of the overlaps of relevant
+    # detections, added in detection order
+    gt_coverage: dict[int, float] = {}
     for c, own, crossed in verdicts:
         n_sys[c] += 1
         if own is None:
@@ -184,17 +182,14 @@ def _tally(verdicts: Iterable[_Verdict], dataset: Dataset, params: EvalParams) -
                 row[other] += 1
         else:
             for i, overlap in own:
-                if i in gt_hits:
-                    gt_hits[i].append(overlap)
-                else:
-                    gt_hits[i] = [overlap]
+                gt_coverage[i] = gt_coverage.get(i, 0.0) + overlap
     n_gt = _n_gt(dataset)
     if params.gtc_threshold == 0:  # every ground truth counts, touched or not
         n_tp = dict(n_gt)
     else:
         n_tp = dict.fromkeys(classes, 0)
-        for i, covering in gt_hits.items():
-            if sum(covering) / gt[i].duration >= params.gtc_threshold:
+        for i, covered in gt_coverage.items():
+            if covered / gt[i].duration >= params.gtc_threshold:
                 n_tp[gt[i].class_label] += 1
     return CountsMatrix(classes, n_gt, n_sys, n_tp, n_fp, ct)
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DegenerateClassCount
 from .events import Dataset, EvalParams
 from .matching import CountsMatrix
-from .rates import ClassRates, _class_values, _unit_scales, compute_rates, effective_tpr
+from .rates import ClassRates, _class_values, _unit_scales, effective_tpr
 
 __all__ = [
     "OpPoint",
@@ -188,24 +187,24 @@ def merge_psd_roc(
     )
 
 
-def _common_classes(class_seqs: Iterable[Iterable[str]]) -> tuple[str, ...]:
-    class_sets = {tuple(sorted(classes)) for classes in class_seqs}
+# One op's values: ``(class, efpr, tp_ratio)`` of each of its classes.
+_OpValues = Sequence[tuple[str, float, float]]
+
+
+def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: bool) -> PsdRoc:
+    """The PSD-ROC of each op's class values; ops may share one values object."""
+    distinct = {id(values): values for values in values_by_op.values()}.values()
+    class_sets = {tuple(sorted(c for c, _, _ in values)) for values in distinct}
     if len(class_sets) != 1:
         raise ValueError("operating points disagree on the class set")
-    return class_sets.pop()
-
-
-def _psd_roc(
-    op_points: Mapping[str, tuple[OpPoint, ...]], params: EvalParams, clamp: bool
-) -> PsdRoc:
+    columns: dict[str, list[OpPoint]] = {c: [] for c in class_sets.pop()}
+    for op in sorted(values_by_op):
+        for c, efpr, tp_ratio in values_by_op[op]:
+            columns[c].append(OpPoint(efpr, tp_ratio, op))
+    op_points = {c: tuple(points) for c, points in columns.items()}
     curves = {c: staircase(pareto_filter(points), c) for c, points in op_points.items()}
     return merge_psd_roc(
-        curves,
-        params.alpha_st,
-        params.max_efpr,
-        clamp=clamp,
-        params=params,
-        op_points=op_points,
+        curves, params.alpha_st, params.max_efpr, clamp=clamp, params=params, op_points=op_points
     )
 
 
@@ -222,38 +221,24 @@ def psd_roc_from_counts(
     :func:`sedscore.io.sweep_operating_points`. The result, and any
     exception, equals that of :func:`psd_roc_from_rates` on
     :func:`sedscore.rates.compute_rates` of each op, without building the
-    per-class rate objects. The sweep gives identical consecutive tables
-    one shared ``CountsMatrix`` object; an op whose counts are the same
-    object as those of the op before it, in op-id order, reuses that op's
-    class values.
+    per-class rate objects: the ops are taken in mapping order, so the
+    first faulty op is the one named. The sweep gives identical
+    consecutive tables one shared ``CountsMatrix`` object; an op whose
+    counts are the same object as those of the op before it, in mapping
+    order, reuses that op's class values.
     """
     if not counts_by_op:
         raise ValueError("psd_roc_from_counts needs at least one operating point")
     total_units, label_units = _unit_scales(dataset, params)
-    try:
-        classes = _common_classes(counts.classes for counts in counts_by_op.values())
-        columns: dict[str, list[OpPoint]] = {c: [] for c in classes}
-        previous = None  # the counts of the previous op, whose values are in ``values``
-        for op in sorted(counts_by_op):
-            counts = counts_by_op[op]
-            if counts is not previous:
-                previous = counts
-                values = [
-                    (c, efpr, tp_ratio)
-                    for c, tp_ratio, _, _, efpr in _class_values(
-                        counts, total_units, label_units, params.alpha_ct
-                    )
-                ]
-            for c, efpr, tp_ratio in values:
-                columns[c].append(OpPoint(efpr, tp_ratio, op))
-    except (ZeroDivisionError, KeyError, DegenerateClassCount, ValueError):
-        # The rates of some op are undefined, or the class sets differ:
-        # compute_rates checks the ops in their order and raises its error
-        # for the first faulty one, before the class sets are compared.
-        for counts in counts_by_op.values():
-            compute_rates(counts, dataset, params)
-        raise
-    return _psd_roc({c: tuple(points) for c, points in columns.items()}, params, clamp)
+    values_by_op: dict[str, _OpValues] = {}
+    previous = None  # the counts of the previous op, whose values are in ``values``
+    for op, counts in counts_by_op.items():
+        if counts is not previous:
+            previous = counts
+            rows = _class_values(counts, total_units, label_units, params.alpha_ct)
+            values = [(c, efpr, tp_ratio) for c, tp_ratio, _, _, efpr in rows]
+        values_by_op[op] = values
+    return _psd_roc(values_by_op, params, clamp)
 
 
 def psd_roc_from_rates(
@@ -272,9 +257,7 @@ def psd_roc_from_rates(
     """
     if not rates_by_op:
         raise ValueError("psd_roc_from_rates needs at least one operating point")
-    ops = sorted(rates_by_op)
-    op_points = {
-        c: tuple(OpPoint(rates_by_op[op][c].efpr, rates_by_op[op][c].tp_ratio, op) for op in ops)
-        for c in _common_classes(rates_by_op.values())
+    values_by_op = {
+        op: [(c, r.efpr, r.tp_ratio) for c, r in rates.items()] for op, rates in rates_by_op.items()
     }
-    return _psd_roc(op_points, params, clamp)
+    return _psd_roc(values_by_op, params, clamp)

@@ -14,7 +14,7 @@ from statistics import fmean, pstdev
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DegenerateClassCount, EmptyClassGroundTruth, ZeroLabelDuration
-from .events import Dataset, EvalParams
+from .events import Dataset, EvalParams, _left_sum
 from .matching import CountsMatrix
 
 __all__ = [
@@ -60,7 +60,7 @@ def effective_fpr(
         raise DegenerateClassCount(
             "cross-trigger weighting needs at least two classes"
         )
-    return fp_rate + alpha_ct * sum(ct_rates.values()) / (n_classes - 1)
+    return fp_rate + alpha_ct * _left_sum(ct_rates.values()) / (n_classes - 1)
 
 
 def effective_tpr(tp_ratios: Iterable[float], alpha_st: float, *, clamp: bool = True) -> float:
@@ -78,7 +78,9 @@ def effective_tpr(tp_ratios: Iterable[float], alpha_st: float, *, clamp: bool = 
     values = list(tp_ratios)
     if not values:
         raise ValueError("effective_tpr needs at least one class")
-    result = fmean(values) - alpha_st * pstdev(values)
+    result = fmean(values)
+    if alpha_st != 0:  # the exact std is costly, and ``result - 0 * std`` is ``result``
+        result -= alpha_st * pstdev(values)
     if clamp:
         return max(0.0, result)
     return result
@@ -99,15 +101,20 @@ def _class_values(
 ) -> Iterator[tuple[str, float, float, dict[str, float], float]]:
     """Yield each class's ``(class, tp_ratio, fp_rate, ct_rates, efpr)``.
 
-    Where the checks of :func:`compute_rates` reject ``counts``, this
-    raises instead: ``ZeroDivisionError`` for a zero ground-truth count or
-    labelled duration, ``KeyError`` for a class absent from ``label_units``.
+    Each class is checked before its rates are taken, so the first faulty
+    class, in class order, is the one named: a class with no ground truth,
+    then a cross-triggered class with no labelled duration, then a
+    cross-trigger weight on a single class.
     """
     n_classes = len(counts.classes)
     for c in counts.classes:
-        ct_rates = {
-            other: n_ct / label_units[other] for other, n_ct in counts.cross_triggers[c].items()
-        }
+        if counts.n_gt[c] == 0:
+            raise EmptyClassGroundTruth(f"class '{c}' has no ground-truth events")
+        triggered = counts.cross_triggers[c]
+        for other in triggered:
+            if not label_units.get(other, 0.0) > 0:
+                raise ZeroLabelDuration(f"class '{other}' has zero labelled duration")
+        ct_rates = {other: n_ct / label_units[other] for other, n_ct in triggered.items()}
         fp_rate = counts.n_fp[c] / total_units
         efpr = effective_fpr(fp_rate, ct_rates, alpha_ct, n_classes)
         yield c, counts.n_tp[c] / counts.n_gt[c], fp_rate, ct_rates, efpr
@@ -124,25 +131,12 @@ def compute_rates(
     of each class is dense over the other classes (zero counts included).
     """
     total_units, label_units = _unit_scales(dataset, params)
-    try:
-        return {
-            c: ClassRates(tp_ratio=tp_ratio, fp_rate=fp_rate, ct_rates=ct_rates, efpr=efpr)
-            for c, tp_ratio, fp_rate, ct_rates, efpr in _class_values(
-                counts, total_units, label_units, params.alpha_ct
-            )
-        }
-    except (ZeroDivisionError, KeyError, DegenerateClassCount):
-        # Name the first faulty class. A single class with cross-trigger
-        # weighting is reported only once its counts pass these checks.
-        for c in counts.classes:
-            if counts.n_gt[c] == 0:
-                raise EmptyClassGroundTruth(f"class '{c}' has no ground-truth events") from None
-            for other in counts.cross_triggers[c]:
-                if not label_units.get(other, 0.0) > 0:
-                    raise ZeroLabelDuration(
-                        f"class '{other}' has zero labelled duration"
-                    ) from None
-        raise
+    return {
+        c: ClassRates(tp_ratio=tp_ratio, fp_rate=fp_rate, ct_rates=ct_rates, efpr=efpr)
+        for c, tp_ratio, fp_rate, ct_rates, efpr in _class_values(
+            counts, total_units, label_units, params.alpha_ct
+        )
+    }
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,17 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(EventSet(()), {"f1": 10.0})
 
+    def test_sums_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16 at each step; a compensated sum,
+        # as builtin ``sum`` takes from Python 3.12, gives 1e16 + 2
+        durations = {"f1": 1e16, "f2": 1.0, "f3": 1.0}
+        rows = [("f1", 0.0, 1e16, "dog"), ("f2", 0.0, 1.0, "dog"), ("f3", 0.0, 1.0, "dog")]
+        ds = Dataset(validate_events(rows, durations), durations)
+        assert ds.total_duration == 1e16
+        assert ds.class_durations["dog"] == 1e16
+        ys = [ev(0.0, 1e16), ev(0.0, 1.0), ev(1.0, 2.0)]
+        assert total_intersection(ev(0.0, 1e16), ys) == 1e16
+
     def test_rejects_gt_event_in_unknown_file(self):
         gt = EventSet((Event("f9", 0.0, 1.0, "dog"),))
         with pytest.raises(UnknownFile, match="'f9'"):
@@ -234,6 +245,9 @@ class TestParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             EvalParams(**kwargs)
+
+    def test_time_unit_from_its_name(self):
+        assert EvalParams(time_unit="hour").time_unit is TimeUnit.HOUR
 
     def test_time_unit_seconds(self):
         assert TimeUnit.SECOND.seconds == 1.0

@@ -126,6 +126,9 @@ class TestParseEventTable:
         with pytest.raises(BadRow, match=r"^<input>:3: onset 'zero' is not a number$"):
             parse_event_table(f"{HEADER}\nf1\t0\t1\tdog{char}bark\nf1\tzero\t1\tdog\n")
 
+    def test_final_lone_carriage_return_is_dropped(self):
+        assert parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\r")[0].event_label == "dog"
+
     def test_lone_carriage_return_does_not_end_a_line(self):
         with pytest.raises(BadRow, match=r"^<input>:2: expected 4 tab-separated fields, got 7$"):
             parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\rf1\t2\t3\tdog\n")

@@ -11,6 +11,7 @@ from bruteforce import brute_force_collar, brute_force_counts
 from conftest import default_params, make_dataset, make_events, random_instance
 from sedscore import (
     CollarParams,
+    CountsMatrix,
     Event,
     UnknownClassLabel,
     collar_counts,
@@ -37,6 +38,26 @@ def score(gt_rows, det_rows, **thresholds):
     dataset = make_dataset(gt_rows, DURATIONS)
     detections = make_events(det_rows, DURATIONS, dataset)
     return count_matrix(detections, dataset, default_params(**thresholds))
+
+
+class TestCountsMatrix:
+    BASE = {"n_gt": {"dog": 2}, "n_sys": {"dog": 1}, "n_tp": {"dog": 1}, "n_fp": {"dog": 1}}
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_tp", {"dog": 3}, "n_tp must lie in [0, n_gt]"),
+            ("n_tp", {"dog": -1}, "n_tp must lie in [0, n_gt]"),
+            ("n_fp", {"dog": 2}, "n_fp must lie in [0, n_sys]"),
+            ("n_fp", {"dog": -1}, "n_fp must lie in [0, n_sys]"),
+            ("cross_triggers", {"dog": {"dog": 0}}, "cross-trigger matrix has a diagonal entry"),
+        ],
+    )
+    def test_rejects_inconsistent_counts(self, field, value, message):
+        fields = {**self.BASE, "cross_triggers": {"dog": {}}, field: value}
+        with pytest.raises(ValueError) as err:
+            CountsMatrix(classes=("dog",), **fields)
+        assert str(err.value) == f"class 'dog': {message}"
 
 
 class TestDtcFilter:
@@ -266,6 +287,11 @@ class TestCollarMatch:
         params = CollarParams(collar=0.5, offset_ratio=0.2, check_offset=False)
         n_tp, n_fp = collar_match([ev(0.3, 4.0)], [ev(0, 10)], params)
         assert (n_tp, n_fp) == (1, 0)
+
+    def test_onset_just_beyond_the_collar_fails(self):
+        # inside the onset window's rounding margin, so only the exact re-check rejects it
+        det = ev(10.2 + 1e-12, 20.0)
+        assert collar_match([det], [ev(10.0, 20.0)], CollarParams(collar=0.2)) == (0, 1)
 
     def test_cross_file_never_matches(self):
         n_tp, n_fp = collar_match([ev(0, 10, "f2")], [ev(0, 10, "f1")], self.COLLAR)

@@ -5,7 +5,7 @@ on ``compute_rates`` of each operating point: the same floats, compared
 with ``==``, and the same exception type and message, raised for the
 same operating point and class. Ops may share one ``CountsMatrix`` object,
 as the identical consecutive tables of a sweep do; the class values of a
-run of ops sharing one object, in op-id order, are computed once.
+run of ops sharing one object, in mapping order, are computed once.
 """
 
 from __future__ import annotations
@@ -62,17 +62,17 @@ def sweeps(draw):
     n_gt = {c: draw(st.integers(1, 40)) for c in classes}
     # op ids in a drawn order, so iteration order and sorted order differ
     ops = draw(st.permutations([f"op{k:02d}" for k in range(draw(st.integers(1, 8)))]))
-    by_id = {}  # op id -> counts, drawn in op-id order
-    for op in sorted(ops):
-        share = draw(st.integers(0, 3)) if by_id else 0
-        if share == 1:  # the object of the op before it in op-id order
-            by_id[op] = by_id[max(by_id)]
+    counts_by_op = {}  # op id -> counts, drawn in mapping order
+    for op in ops:
+        share = draw(st.integers(0, 3)) if counts_by_op else 0
+        if share == 1:  # the object of the op before it in mapping order
+            counts_by_op[op] = counts_by_op[list(counts_by_op)[-1]]
             continue
         if share == 2:  # the object of any earlier op, adjacent or not
-            by_id[op] = by_id[draw(st.sampled_from(sorted(by_id)))]
+            counts_by_op[op] = counts_by_op[draw(st.sampled_from(sorted(counts_by_op)))]
             continue
         n_sys = {c: draw(small_count) for c in classes}
-        by_id[op] = CountsMatrix(
+        counts_by_op[op] = CountsMatrix(
             classes=tuple(classes),
             n_gt=n_gt,
             n_sys=n_sys,
@@ -83,7 +83,6 @@ def sweeps(draw):
                 for c in classes
             },
         )
-    counts_by_op = {op: by_id[op] for op in ops}
     alpha_ct = 0.0 if n_classes == 1 else draw(st.sampled_from((0.0, 0.5, 1.0, 3.7)))
     params = EvalParams(
         alpha_ct=alpha_ct,
@@ -95,8 +94,8 @@ def sweeps(draw):
 
 
 def runs(counts_by_op):
-    """The number of runs of one shared counts object, in op-id order."""
-    matrices = [counts_by_op[op] for op in sorted(counts_by_op)]
+    """The number of runs of one shared counts object, in mapping order."""
+    matrices = list(counts_by_op.values())
     return 1 + sum(after is not before for before, after in zip(matrices, matrices[1:]))
 
 
@@ -119,13 +118,13 @@ def test_counts_path_equals_rates_path(sweep):
 
 def test_class_values_run_once_per_run_of_one_counts_object():
     a, b = counts(), counts(n_gt=2)
-    # 'a' twice, 'b' three times, then 'a' again: three runs in op-id order,
-    # in a mapping whose own order differs
+    # in mapping order 'a', 'b', then 'a' twice and 'b' twice: four runs,
+    # although op-id order has three ('a' twice, 'b' three times, 'a' once)
     counts_by_op = {"op6": a, "op3": b, "op1": a, "op2": a, "op4": b, "op5": b}
-    assert runs(counts_by_op) == 3
+    assert runs(counts_by_op) == 4
     with mock.patch("sedscore.psdroc._class_values", wraps=_class_values) as class_values:
         roc = psd_roc_from_counts(counts_by_op, DATASET, EvalParams(alpha_ct=1.0))
-    assert class_values.call_count == 3
+    assert class_values.call_count == 4
     assert roc == via_rates(counts_by_op, DATASET, EvalParams(alpha_ct=1.0))
     assert [p.op_id for p in roc.op_points["a"]] == [f"op{k}" for k in range(1, 7)]
 
@@ -187,6 +186,13 @@ ERROR_CASES = {
         DegenerateClassCount,
     ),
 }
+
+
+def test_no_operating_points_rejected():
+    with pytest.raises(ValueError, match="^psd_roc_from_counts needs at least one operating"):
+        psd_roc_from_counts({}, DATASET, EvalParams())
+    with pytest.raises(ValueError, match="^psd_roc_from_rates needs at least one operating"):
+        psd_roc_from_rates({}, EvalParams())
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))

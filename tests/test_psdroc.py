@@ -206,6 +206,11 @@ class TestIntegratePsds:
             values = np.where(idx > 0, np.asarray([0.0] + vs)[idx], 0.0)
             assert exact == pytest.approx(values.mean(), abs=1e-6)
 
+    @pytest.mark.parametrize("max_efpr", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_max_efpr_not_finite_and_positive(self, max_efpr):
+        with pytest.raises(ValueError, match="^max_efpr must be finite and > 0"):
+            integrate_psds([(0.0, 1.0)], max_efpr)
+
 
 class TestPsdRocFromRates:
     @staticmethod

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
+from unittest import mock
 
 import pytest
 
@@ -158,6 +160,11 @@ class TestEffectiveFpr:
         with pytest.raises(DegenerateClassCount):
             effective_fpr(1.0, {}, 0.5, 1)
 
+    def test_ct_rates_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16 at each step, unlike a compensated sum
+        ct_rates = {"b": 1e16, "c": 1.0, "d": 1.0}
+        assert effective_fpr(0.0, ct_rates, 1.0, 4) == 1e16 / 3
+
     def test_affine_and_monotone(self):
         base = effective_fpr(2.0, {"a": 3.0, "b": 1.0}, 0.7, 3)
         assert effective_fpr(2.5, {"a": 3.0, "b": 1.0}, 0.7, 3) > base
@@ -198,6 +205,15 @@ class TestEffectiveTpr:
             results = [effective_tpr(values, a) for a in (0.0, 0.5, 1.0, 2.0)]
             assert all(x >= y for x, y in zip(results, results[1:]))
 
+    def test_zero_alpha_skips_the_std(self):
+        values = [0.1, 0.7, 0.35, 0.35]
+        unskipped = statistics.fmean(values) - 0.0 * statistics.pstdev(values)
+        with mock.patch("sedscore.rates.pstdev", wraps=statistics.pstdev) as pstdev:
+            assert effective_tpr(values, 0.0) == unskipped
+            assert pstdev.call_count == 0
+            effective_tpr(values, 0.5)
+            assert pstdev.call_count == 1
+
     def test_requires_at_least_one_class(self):
         with pytest.raises(ValueError):
             effective_tpr([], 1.0)
@@ -225,6 +241,10 @@ class TestF1Scores:
     def test_zero_over_zero_convention(self):
         cm = counts_for(["a"], {"a": 5}, {"a": 0}, {"a": 0}, {"a": 0})
         assert f1_scores(cm).per_class["a"] == 0.0
+
+    def test_class_with_no_ground_truth_and_no_detections_scores_zero(self):
+        report = f1_scores(counts_for(["a"], {"a": 0}, {"a": 0}, {"a": 0}, {"a": 0}))
+        assert (report.per_class, report.macro_f1, report.micro_f1) == ({"a": 0.0}, 0.0, 0.0)
 
     def test_hand_computed_value(self):
         # F1 = 18 / (18 + 3 + 1)
