@@ -328,6 +328,12 @@ class Dataset:
     file_durations: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        self._check_files()
+        for ev in self.ground_truth.events:
+            _check_placement(ev, self.file_durations)
+
+    def _check_files(self) -> None:
+        """Keep a copy of the durations, check them, and require ground truth."""
         durations = dict(self.file_durations)
         object.__setattr__(self, "file_durations", durations)
         for file_id, dur in durations.items():
@@ -335,8 +341,20 @@ class Dataset:
                 raise ValidationError(f"file '{file_id}' has non-positive duration {dur}")
         if not self.ground_truth.events:
             raise ValidationError("ground truth contains no events; class set would be empty")
-        for ev in self.ground_truth.events:
-            _check_placement(ev, durations)
+
+    @classmethod
+    def _of_placed(cls, ground_truth: EventSet, file_durations: Mapping[str, float]) -> "Dataset":
+        """``Dataset(ground_truth, file_durations)`` of events already placed in those files.
+
+        :func:`_validated` checks each event's placement as it reads the
+        event's row, so that the message names the line; the events are not
+        checked a second time here.
+        """
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "ground_truth", ground_truth)
+        object.__setattr__(dataset, "file_durations", file_durations)
+        dataset._check_files()
+        return dataset
 
     @cached_property
     def total_duration(self) -> float:

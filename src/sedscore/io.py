@@ -201,7 +201,7 @@ def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
     """Load and cross-validate ground truth and durations tables."""
     durations = load_durations(durations_path)
     events = _text_events(_read_table(Path(gt_path)), str(gt_path), durations, None)
-    return Dataset(ground_truth=events, file_durations=durations)
+    return Dataset._of_placed(events, durations)
 
 
 def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
@@ -412,7 +412,7 @@ def build_psds_report(
         c: [[e, v] for e, v in roc.curves[c].breakpoints] for c in sorted(roc.curves)
     }
     report["operating_points"] = {
-        c: [[p.op_id, p.efpr, p.tp_ratio] for p in roc.op_points[c]]
+        c: [[op_id, efpr, tp_ratio] for efpr, tp_ratio, op_id in roc.op_points[c]]
         for c in sorted(roc.op_points)
     }
     return report
@@ -429,22 +429,28 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _numbers(values: Iterable[object]) -> str:
+    """Number cells joined by tabs, each by :func:`_fmt`'s rule."""
+    return "\t".join(map(_fmt, values))
+
+
 def _kv_block(title: str, mapping: Mapping[str, object]) -> list[str]:
     lines = [f"# {title}"]
     lines.extend(f"{key}\t{_fmt(value)}" for key, value in mapping.items())
     return lines
 
 
-def _table_block(title: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> list[str]:
-    lines = [f"# {title}", "\t".join(header)]
-    lines.extend("\t".join(_fmt(cell) for cell in row) for row in rows)
-    return lines
+def _table_block(title: str, header: Sequence[str], lines: Iterable[str]) -> list[str]:
+    """A titled block: its header, then one formatted line per row."""
+    return [f"# {title}", "\t".join(header), *lines]
 
 
 def _class_table(title: str, columns: Sequence[str], rows: Mapping[str, Mapping]) -> list[str]:
     """One row per class with the named entries of its mapping."""
     return _table_block(
-        title, ("class", *columns), [(c, *(row[k] for k in columns)) for c, row in rows.items()]
+        title,
+        ("class", *columns),
+        (f"{c}\t{_numbers(row[k] for k in columns)}" for c, row in rows.items()),
     )
 
 
@@ -453,11 +459,43 @@ def _pair_table(title: str, column: str, rows: Mapping[str, Mapping[str, object]
     return _table_block(
         title,
         ("class", "triggered_class", column),
-        [(c, other, value) for c, row in rows.items() for other, value in row.items()],
+        (f"{c}\t{other}\t{_fmt(value)}" for c, row in rows.items() for other, value in row.items()),
     )
 
 
+def _op_point_lines(op_points: Mapping[str, Sequence[Sequence[object]]]) -> Iterator[str]:
+    """The ``operating_points`` rows, class by class in sorted order.
+
+    Each distinct (eFPR, TP ratio) pair of floats is formatted once per
+    report. A row holding the same objects as the row before it, as the ops
+    of a run of identical tables do, reuses that row's cells without a
+    lookup. A zero is keyed by its ``repr``: ``0.0 == -0.0``, but they are
+    written ``0`` and ``-0``. A pair holding anything but two floats, such
+    as the ``1`` or ``True`` of user rates, which equal ``1.0`` but are
+    written differently, is formatted on each row.
+    """
+    formatted: dict[tuple[object, object], str] = {}
+    efpr = tp_ratio = cells = object()
+    for c in sorted(op_points):
+        for op_id, e, t in op_points[c]:
+            if e is not efpr or t is not tp_ratio:
+                efpr, tp_ratio = e, t
+                if type(e) is float and type(t) is float:
+                    key = (e or repr(e), t or repr(t))
+                    cells = formatted.get(key)
+                    if cells is None:
+                        cells = formatted[key] = _numbers((e, t))
+                else:
+                    cells = _numbers((e, t))
+            yield f"{c}\t{op_id}\t{cells}"
+
+
 def _tsv_report(report: dict) -> str:
+    """The report as TSV blocks.
+
+    Class and op-id cells are strings and are written as they are; every
+    other value cell follows :func:`_fmt`.
+    """
     blocks: list[list[str]] = []
     blocks.append(_kv_block("report", {"schema": report["schema"], "type": report["report"]}))
     blocks.append(_kv_block("params", report["params"]))
@@ -474,12 +512,9 @@ def _tsv_report(report: dict) -> str:
         ct_rates = {c: row["ct_rates"] for c, row in rates.items()}
         blocks.append(_pair_table("ct_rates", "rate", ct_rates))
     if "f1" in report:
+        per_class = report["f1"]["per_class"]
         blocks.append(
-            _table_block(
-                "f1",
-                ("class", "f1"),
-                list(report["f1"]["per_class"].items()),
-            )
+            _table_block("f1", ("class", "f1"), (f"{c}\t{_fmt(v)}" for c, v in per_class.items()))
         )
         blocks.append(
             _kv_block(
@@ -490,16 +525,16 @@ def _tsv_report(report: dict) -> str:
     if "psds" in report:
         blocks.append(_kv_block("psds", {"psds": report["psds"]}))
     if "psd_roc" in report:
-        blocks.append(_table_block("psd_roc", ("efpr", "etpr"), report["psd_roc"]))
+        blocks.append(_table_block("psd_roc", ("efpr", "etpr"), map(_numbers, report["psd_roc"])))
     if "class_rocs" in report:
         classes = sorted(report["class_rocs"])
         curves = [ClassCurve(c, tuple(report["class_rocs"][c])) for c in classes]
-        rows = [[e, *(curve.value_at(e) for curve in curves)] for e, _ in report["psd_roc"]]
+        rows = ([e, *(curve.value_at(e) for curve in curves)] for e, _ in report["psd_roc"])
         blocks.append(
             _table_block(
                 "class_roc",
                 ("efpr", *[f"tpr_{c}" for c in classes]),
-                rows,
+                map(_numbers, rows),
             )
         )
     if "operating_points" in report:
@@ -507,11 +542,7 @@ def _tsv_report(report: dict) -> str:
             _table_block(
                 "operating_points",
                 ("class", "op_id", "efpr", "tp_ratio"),
-                [
-                    (c, op_id, efpr, tp)
-                    for c in sorted(report["operating_points"])
-                    for op_id, efpr, tp in report["operating_points"][c]
-                ],
+                _op_point_lines(report["operating_points"]),
             )
         )
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"

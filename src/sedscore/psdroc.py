@@ -14,7 +14,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
@@ -192,17 +192,41 @@ _OpValues = Sequence[tuple[str, float, float]]
 
 
 def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: bool) -> PsdRoc:
-    """The PSD-ROC of each op's class values; ops may share one values object."""
-    distinct = {id(values): values for values in values_by_op.values()}.values()
+    """The PSD-ROC of each op's class values; ops may share one values object.
+
+    A run of ops, in op-id order, that share one values object gives out
+    each class's points in one step. Each class's curve is built from the
+    first point, in op-id order, of each of its distinct (eFPR, TP ratio)
+    pairs. Equal pairs are kept or dropped together by :func:`pareto_filter`,
+    and :func:`staircase` keeps the first of them in sorted order, which is
+    the first in op-id order: its values, signed zeros included, are the
+    ones a curve built from every point holds.
+    """
+    runs: list[tuple[_OpValues, list[str]]] = []  # (values, the ops of a run)
+    for op in sorted(values_by_op):
+        values = values_by_op[op]
+        if runs and runs[-1][0] is values:
+            runs[-1][1].append(op)
+        else:
+            runs.append((values, [op]))
+    distinct = {id(values): values for values, _ in runs}.values()
     class_sets = {tuple(sorted(c for c, _, _ in values)) for values in distinct}
     if len(class_sets) != 1:
         raise ValueError("operating points disagree on the class set")
     columns: dict[str, list[OpPoint]] = {c: [] for c in class_sets.pop()}
-    for op in sorted(values_by_op):
-        for c, efpr, tp_ratio in values_by_op[op]:
-            columns[c].append(OpPoint(efpr, tp_ratio, op))
+    # (efpr, tp_ratio) -> the first op holding it; a dict keeps its first key's objects
+    firsts: dict[str, dict[tuple[float, float], str]] = {c: {} for c in columns}
+    for values, ops in runs:
+        for c, efpr, tp_ratio in values:
+            # tuple.__new__ makes each OpPoint without NamedTuple's Python-level __new__
+            points = zip(repeat(efpr), repeat(tp_ratio), ops)
+            columns[c].extend(map(tuple.__new__, repeat(OpPoint), points))
+            firsts[c].setdefault((efpr, tp_ratio), ops[0])
     op_points = {c: tuple(points) for c, points in columns.items()}
-    curves = {c: staircase(pareto_filter(points), c) for c, points in op_points.items()}
+    curves = {
+        c: staircase(pareto_filter([OpPoint(*pair, op) for pair, op in pairs.items()]), c)
+        for c, pairs in firsts.items()
+    }
     return merge_psd_roc(
         curves, params.alpha_st, params.max_efpr, clamp=clamp, params=params, op_points=op_points
     )

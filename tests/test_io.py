@@ -24,6 +24,7 @@ from sedscore import (
     sweep_operating_points,
     validate_events,
 )
+from sedscore import events
 from sedscore.io import (
     build_counts_report,
     build_f1_report,
@@ -186,6 +187,25 @@ def write_detections(path, rows):
 
 
 class TestLoadDataset:
+    def test_places_each_ground_truth_row_once(self, tmp_path, monkeypatch):
+        # the row loop places each event as it reads it, so that a fault names
+        # its line; the dataset built from those events does not place them again
+        placed = []
+        check = events._check_placement
+        monkeypatch.setattr(
+            events, "_check_placement", lambda ev, *args: placed.append(ev) or check(ev, *args)
+        )
+        rows = [("f1", 0.0, 10.0, "dog"), ("f2", 1.0, 2.0, "cat"), ("f1", 5.0, 6.0, "dog")]
+        dataset = load_dataset(*write_tables(tmp_path, rows, {"f1": 60.0, "f2": 30.0}))
+        assert placed == list(dataset.ground_truth)
+
+    def test_loaded_ground_truth_is_placed_again_in_a_dataset_built_in_code(self, tmp_path):
+        loaded = load_dataset(*write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0}))
+        with pytest.raises(EventExceedsFileDuration):
+            Dataset(loaded.ground_truth, {"f1": 5.0})
+        with pytest.raises(UnknownFile):
+            Dataset(loaded.ground_truth, {"f2": 60.0})
+
     def test_round_trip(self, tmp_path):
         gt, dur = write_tables(
             tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0, "f2": 30.0}

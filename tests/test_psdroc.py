@@ -8,6 +8,8 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedscore import (
     ClassRates,
@@ -20,6 +22,7 @@ from sedscore import (
     psd_roc_from_rates,
     staircase,
 )
+from sedscore.psdroc import _psd_roc
 
 
 def points(*pairs):
@@ -309,3 +312,57 @@ class TestAlphaInterplay:
         psds_lo = psd_roc_from_rates(rates_for(0.0), params_lo).psds
         psds_hi = psd_roc_from_rates(rates_for(1.0), params_hi).psds
         assert psds_hi > psds_lo
+
+
+def per_op_psd_roc(values_by_op, params, clamp):
+    """The builder as written before runs of shared values: one OpPoint per class per op,
+    then ``pareto_filter`` on all of a class's points."""
+    classes = {tuple(sorted(c for c, _, _ in values)) for values in values_by_op.values()}
+    (class_set,) = classes
+    columns = {c: [] for c in class_set}
+    for op in sorted(values_by_op):
+        for c, efpr, tp_ratio in values_by_op[op]:
+            columns[c].append(OpPoint(efpr, tp_ratio, op))
+    op_points = {c: tuple(points) for c, points in columns.items()}
+    curves = {c: staircase(pareto_filter(points), c) for c, points in op_points.items()}
+    return merge_psd_roc(
+        curves, params.alpha_st, params.max_efpr, clamp=clamp, params=params, op_points=op_points
+    )
+
+
+# few values, so that eFPRs and TP ratios tie; equal values of other types and signs
+# (-0.0 and 0.0, 1 and True and 1.0) must keep the ones the per-op builder keeps
+TIED_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1, True, 3.0, 150.0])
+
+
+@st.composite
+def values_sweeps(draw):
+    """(values_by_op, params, clamp): class values per op, some ops sharing one object."""
+    classes = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    # op ids in a drawn order, so that mapping order and op-id order differ
+    ops = draw(st.permutations([f"op{k:02d}" for k in range(draw(st.integers(1, 10)))]))
+    values_by_op = {}
+    for op in ops:
+        share = draw(st.integers(0, 2)) if values_by_op else 0
+        if share == 1:  # the object of the op before it in mapping order
+            values_by_op[op] = values_by_op[list(values_by_op)[-1]]
+        elif share == 2:  # the object of any earlier op, adjacent or not
+            values_by_op[op] = values_by_op[draw(st.sampled_from(sorted(values_by_op)))]
+        else:
+            order = draw(st.permutations(classes))
+            values_by_op[op] = [(c, draw(TIED_VALUES), draw(TIED_VALUES)) for c in order]
+    params = EvalParams(alpha_st=draw(st.sampled_from([0.0, 1.0])), max_efpr=100.0)
+    return values_by_op, params, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sweep=values_sweeps())
+def test_builder_equals_the_per_op_construction(sweep):
+    # repr tells -0.0 from 0.0 and True from 1 from 1.0, which == does not
+    roc = _psd_roc(*sweep)
+    reference = per_op_psd_roc(*sweep)
+    assert repr(roc.op_points) == repr(reference.op_points)
+    assert repr(roc.curves) == repr(reference.curves)
+    assert repr(roc.points) == repr(reference.points)
+    assert repr(roc) == repr(reference)
+    assert all(type(p) is OpPoint for points in roc.op_points.values() for p in points)
