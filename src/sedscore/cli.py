@@ -51,11 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", type=Path, default=None, help="write report here (default stdout)")
     common.add_argument("--format", choices=["json", "tsv"], default="json")
-    common.add_argument(
-        "--no-clamp",
-        action="store_true",
-        help="report the literal effective TP ratio even when negative",
-    )
 
     parser = argparse.ArgumentParser(
         prog="sedscore",
@@ -89,19 +84,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-offset-check", action="store_true", help="match on onsets only in collar mode"
     )
 
-    p_psds = sub.add_parser(
-        "psds", parents=[common], help="PSDS over a directory of operating points"
-    )
-    p_psds.add_argument(
-        "--det-dir", required=True, type=Path, help="directory of detection tables, one per OP"
-    )
-
-    p_roc = sub.add_parser(
-        "roc", parents=[common], help="ROC curve tables over a directory of operating points"
-    )
-    p_roc.add_argument(
-        "--det-dir", required=True, type=Path, help="directory of detection tables, one per OP"
-    )
+    for command, text in (
+        ("psds", "PSDS over a directory of operating points"),
+        ("roc", "ROC curve tables over a directory of operating points"),
+    ):
+        p_sweep = sub.add_parser(command, parents=[common], help=text)
+        p_sweep.add_argument(
+            "--det-dir", required=True, type=Path, help="directory of detection tables, one per OP"
+        )
+        p_sweep.add_argument(
+            "--no-clamp",
+            action="store_true",
+            help="report the literal effective TP ratio even when negative",
+        )
     return parser
 
 
@@ -129,7 +124,6 @@ def _collar_params(args: argparse.Namespace) -> CollarParams | None:
 
 def _run(args: argparse.Namespace, params: EvalParams, collar: CollarParams | None) -> dict:
     dataset = load_dataset(args.gt, args.durations)
-    clamp = not args.no_clamp
 
     if args.command == "counts":
         detections = load_detections(args.det, dataset)
@@ -146,7 +140,7 @@ def _run(args: argparse.Namespace, params: EvalParams, collar: CollarParams | No
         return build_f1_report(counts, f1_scores(counts), dataset, params, collar=collar)
 
     counts_by_op = sweep_operating_points(args.det_dir, dataset, params)
-    roc = psd_roc_from_counts(counts_by_op, dataset, params, clamp=clamp)
+    roc = psd_roc_from_counts(counts_by_op, dataset, params, clamp=not args.no_clamp)
     return build_psds_report(roc, dataset, params, include_psds=args.command == "psds")
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "EVENT_HEADER",
     "DURATIONS_HEADER",
     "TableRow",
-    "parse_event_table",
-    "parse_durations_table",
     "load_event_table",
     "load_durations",
     "load_dataset",
@@ -143,47 +141,48 @@ def _event_rows(
         yield filename, onset, offset, label, lineno
 
 
-def parse_event_table(text: str, *, source: str | None = None) -> list[TableRow]:
-    """Parse an event list. Strict: exact header, exactly four columns.
-
-    Onset/offset must parse as finite numbers; semantic checks (ordering,
-    file bounds) are left to validation so their errors carry dataset
-    context. A label with leading or trailing whitespace is rejected. A
-    header-only table is valid and means an empty detection set.
-    Duplicate rows are kept: two identical detections are two detections.
-    Empty lines at the end of the table are ignored.
-    """
-    name = source or "<input>"
-    return list(map(TableRow._make, _event_rows(_lines(text, EVENT_HEADER, name), name)))
-
-
-def parse_durations_table(text: str, *, source: str | None = None) -> dict[str, float]:
-    """Parse a per-file durations table into a filename -> seconds map.
-
-    Filenames must be unique and durations strictly positive. Empty lines
-    at the end of the table are ignored.
-    """
-    name = source or "<input>"
+def _text_durations(text: str, source: str) -> dict[str, float]:
+    """The filename -> seconds map of a durations table's text."""
     durations: dict[str, float] = {}
-    numbered = _lines(text, DURATIONS_HEADER, name)
-    for lineno, (filename, dur_raw) in _rows(numbered, DURATIONS_HEADER, name):
+    numbered = _lines(text, DURATIONS_HEADER, source)
+    for lineno, (filename, dur_raw) in _rows(numbered, DURATIONS_HEADER, source):
         if filename in durations:
-            raise BadRow(f"{name}:{lineno}: duplicate filename '{filename}'")
-        duration = _parse_number(dur_raw, "duration", lineno, name)
+            raise BadRow(f"{source}:{lineno}: duplicate filename '{filename}'")
+        duration = _parse_number(dur_raw, "duration", lineno, source)
         if not duration > 0:
-            raise BadRow(f"{name}:{lineno}: duration must be > 0, got {dur_raw}")
+            raise BadRow(f"{source}:{lineno}: duration must be > 0, got {dur_raw}")
         durations[filename] = duration
     return durations
 
 
 def load_event_table(path: str | Path) -> list[TableRow]:
+    """Parse an event table into its rows, in file order, without validating them.
+
+    Strict: the exact ``filename, onset, offset, event_label`` header, and
+    four fields per row with a non-empty filename. Onset and offset must be
+    finite numbers, and a label may not be empty or carry leading or
+    trailing whitespace. Ordering and file bounds are left to
+    :func:`validate_events`. A header-only table means no events, duplicate
+    rows are kept, and empty lines at the end are ignored.
+
+    This is the remaining two-step entry, to be followed by
+    ``validate_events``; :func:`load_detections` and :func:`load_dataset`,
+    which read and validate in one pass, are preferred.
+    """
     path = Path(path)
-    return parse_event_table(_read_table(path), source=str(path))
+    rows = _event_rows(_lines(_read_table(path), EVENT_HEADER, str(path)), str(path))
+    return list(map(TableRow._make, rows))
 
 
 def load_durations(path: str | Path) -> dict[str, float]:
+    """Read a ``filename, duration`` table into a filename -> seconds map.
+
+    Strict: the exact header and two fields per row. Filenames must be
+    non-empty and unique, and durations finite and strictly positive.
+    Empty lines at the end of the table are ignored.
+    """
     path = Path(path)
-    return parse_durations_table(_read_table(path), source=str(path))
+    return _text_durations(_read_table(path), str(path))
 
 
 def _text_events(

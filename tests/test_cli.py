@@ -126,6 +126,15 @@ def test_non_finite_parameter_is_usage_error(workspace, capsys, command, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["counts", "f1"])
+def test_no_clamp_is_a_usage_error_outside_a_sweep(workspace, capsys, command):
+    argv = [command, *common(workspace), "--det", workspace / "det.tsv", "--no-clamp"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-clamp" in capsys.readouterr().err
+
+
 class TestF1:
     def test_intersection_beats_collar_on_split_detections(self, workspace, capsys):
         code, out = run(capsys, "f1", *common(workspace), "--det", workspace / "det.tsv")

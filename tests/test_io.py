@@ -19,13 +19,14 @@ from sedscore import (
     ParseError,
     UnknownClassLabel,
     UnknownFile,
-    parse_durations_table,
-    parse_event_table,
     sweep_operating_points,
     validate_events,
 )
 from sedscore import events
+from sedscore.events import Event
 from sedscore.io import (
+    _text_durations,
+    _text_events,
     build_counts_report,
     build_f1_report,
     build_psds_report,
@@ -43,121 +44,122 @@ from sedscore.rates import compute_rates, f1_scores
 HEADER = "filename\tonset\toffset\tevent_label"
 
 
+def text_events(text, source="<input>"):
+    """The events of an event table's text, read as the one-pass loaders read it."""
+    return list(_text_events(text, source, {"f1": 60.0}, None))
+
+
+def text_durations(text):
+    return _text_durations(text, "<input>")
+
+
 class TestParseEventTable:
     def test_single_row(self):
-        rows = parse_event_table(f"{HEADER}\nf1\t0.5\t2.0\tdog\n")
-        assert len(rows) == 1
-        assert rows[0].filename == "f1"
-        assert rows[0].onset == 0.5
-        assert rows[0].offset == 2.0
-        assert rows[0].event_label == "dog"
-        assert rows[0].line == 2
+        assert text_events(f"{HEADER}\nf1\t0.5\t2.0\tdog\n") == [Event("f1", 0.5, 2.0, "dog")]
 
     def test_header_only_is_empty_table(self):
-        assert parse_event_table(f"{HEADER}\n") == []
+        assert text_events(f"{HEADER}\n") == []
 
     def test_crlf_accepted(self):
-        rows = parse_event_table(f"{HEADER}\r\nf1\t0.5\t2.0\tdog\r\n")
-        assert len(rows) == 1
+        events = text_events(f"{HEADER}\r\nf1\t0.5\t2.0\tdog\r\n")
+        assert events == [Event("f1", 0.5, 2.0, "dog")]
 
     def test_missing_header(self):
-        with pytest.raises(MalformedHeader):
-            parse_event_table("f1\t0.5\t2.0\tdog\n")
+        with pytest.raises(MalformedHeader, match=r"^<input>:1: expected header "):
+            text_events("f1\t0.5\t2.0\tdog\n")
 
     def test_wrong_header_order(self):
-        with pytest.raises(MalformedHeader):
-            parse_event_table("filename\toffset\tonset\tevent_label\n")
+        with pytest.raises(MalformedHeader, match=r"^<input>:1: expected header "):
+            text_events("filename\toffset\tonset\tevent_label\n")
 
     def test_empty_input(self):
-        with pytest.raises(MalformedHeader):
-            parse_event_table("")
+        with pytest.raises(MalformedHeader, match=r"^<input>:1: expected header "):
+            text_events("")
 
     def test_wrong_column_count(self):
-        with pytest.raises(BadRow, match="line_3|:3:"):
-            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\nf1\t0\t1\n")
+        with pytest.raises(BadRow, match=r"^<input>:3: expected 4 tab-separated fields, got 3$"):
+            text_events(f"{HEADER}\nf1\t0\t1\tdog\nf1\t0\t1\n")
 
     def test_non_numeric_time(self):
-        with pytest.raises(BadRow):
-            parse_event_table(f"{HEADER}\nf1\tzero\t1\tdog\n")
+        with pytest.raises(BadRow, match=r"^<input>:2: onset 'zero' is not a number$"):
+            text_events(f"{HEADER}\nf1\tzero\t1\tdog\n")
 
     def test_non_finite_time(self):
-        with pytest.raises(BadRow):
-            parse_event_table(f"{HEADER}\nf1\tnan\t1\tdog\n")
+        with pytest.raises(BadRow, match=r"^<input>:2: onset 'nan' is not finite$"):
+            text_events(f"{HEADER}\nf1\tnan\t1\tdog\n")
 
     def test_inverted_times_parse_but_fail_validation(self):
-        rows = parse_event_table(f"{HEADER}\nf1\t2.0\t0.5\tdog\n")
-        with pytest.raises(NonPositiveDuration, match="line 2"):
-            validate_events(rows, {"f1": 10.0})
+        with pytest.raises(NonPositiveDuration, match=r"\(<input>, line 2\)$"):
+            text_events(f"{HEADER}\nf1\t2.0\t0.5\tdog\n")
 
     def test_duplicate_rows_are_two_detections(self):
-        rows = parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\nf1\t0\t1\tdog\n")
-        assert len(rows) == 2
+        assert len(text_events(f"{HEADER}\nf1\t0\t1\tdog\nf1\t0\t1\tdog\n")) == 2
 
     def test_preserves_row_order(self):
-        rows = parse_event_table(f"{HEADER}\nf1\t5\t6\tb\nf1\t0\t1\ta\n")
-        assert [r.event_label for r in rows] == ["b", "a"]
+        events = text_events(f"{HEADER}\nf1\t5\t6\tb\nf1\t0\t1\ta\n")
+        assert [e.class_label for e in events] == ["b", "a"]
 
     def test_trailing_blank_lines_are_ignored(self):
         for tail in ("\n\n", "\n\n\n", "\r\n\r\n"):
-            rows = parse_event_table(f"{HEADER}\nf1\t0.5\t2.0\tdog{tail}")
-            assert rows == [TableRow("f1", 0.5, 2.0, "dog", 2)]
-        assert parse_event_table(f"{HEADER}\n\n") == []
+            events = text_events(f"{HEADER}\nf1\t0.5\t2.0\tdog{tail}")
+            assert events == [Event("f1", 0.5, 2.0, "dog")]
+        assert text_events(f"{HEADER}\n\n") == []
 
     def test_blank_line_between_rows_names_its_line(self):
         with pytest.raises(BadRow, match=r"<input>:3: expected 4 tab-separated fields, got 1"):
-            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\n\nf1\t2\t3\tdog\n\n")
+            text_events(f"{HEADER}\nf1\t0\t1\tdog\n\nf1\t2\t3\tdog\n\n")
 
     @pytest.mark.parametrize("label", ["dog ", " dog", " dog ", "dog\u00a0"])
     def test_label_with_surrounding_whitespace_rejected(self, label):
         with pytest.raises(BadRow) as err:
-            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\nf1\t0\t1\t{label}\n", source="gt.tsv")
+            text_events(f"{HEADER}\nf1\t0\t1\tdog\nf1\t0\t1\t{label}\n", source="gt.tsv")
         assert str(err.value).startswith("gt.tsv:3: ")
         assert repr(label) in str(err.value)
 
     def test_label_with_inner_space_is_kept(self):
-        assert parse_event_table(f"{HEADER}\nf1\t0\t1\tdog bark\n")[0].event_label == "dog bark"
+        assert text_events(f"{HEADER}\nf1\t0\t1\tdog bark\n")[0].class_label == "dog bark"
 
     @pytest.mark.parametrize("char", ["\x0c", "\u2028"])
     def test_only_newline_ends_a_line(self, char):
         with pytest.raises(BadRow) as err:
-            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog{char}\nf1\t2\t3\tdog\n")
+            text_events(f"{HEADER}\nf1\t0\t1\tdog{char}\nf1\t2\t3\tdog\n")
         assert str(err.value) == (
             f"<input>:2: event_label {'dog' + char!r} has leading or trailing whitespace"
         )
         with pytest.raises(BadRow, match=r"^<input>:3: onset 'zero' is not a number$"):
-            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog{char}bark\nf1\tzero\t1\tdog\n")
+            text_events(f"{HEADER}\nf1\t0\t1\tdog{char}bark\nf1\tzero\t1\tdog\n")
 
     def test_final_lone_carriage_return_is_dropped(self):
-        assert parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\r")[0].event_label == "dog"
+        assert text_events(f"{HEADER}\nf1\t0\t1\tdog\r")[0].class_label == "dog"
 
     def test_lone_carriage_return_does_not_end_a_line(self):
         with pytest.raises(BadRow, match=r"^<input>:2: expected 4 tab-separated fields, got 7$"):
-            parse_event_table(f"{HEADER}\nf1\t0\t1\tdog\rf1\t2\t3\tdog\n")
+            text_events(f"{HEADER}\nf1\t0\t1\tdog\rf1\t2\t3\tdog\n")
 
 
 class TestParseDurationsTable:
     def test_basic(self):
-        durations = parse_durations_table("filename\tduration\nf1\t10\nf2\t5.5\n")
+        durations = text_durations("filename\tduration\nf1\t10\nf2\t5.5\n")
         assert durations == {"f1": 10.0, "f2": 5.5}
 
     def test_duplicate_filename_rejected(self):
-        with pytest.raises(BadRow):
-            parse_durations_table("filename\tduration\nf1\t10\nf1\t5\n")
+        with pytest.raises(BadRow, match=r"^<input>:3: duplicate filename 'f1'$"):
+            text_durations("filename\tduration\nf1\t10\nf1\t5\n")
 
     def test_nonpositive_duration_rejected(self):
-        with pytest.raises(BadRow):
-            parse_durations_table("filename\tduration\nf1\t0\n")
+        with pytest.raises(BadRow, match=r"^<input>:2: duration must be > 0, got 0$"):
+            text_durations("filename\tduration\nf1\t0\n")
 
     def test_bad_header(self):
-        with pytest.raises(MalformedHeader):
-            parse_durations_table("file\tduration\nf1\t10\n")
+        with pytest.raises(MalformedHeader, match=r"^<input>:1: expected header "):
+            text_durations("file\tduration\nf1\t10\n")
 
     def test_trailing_blank_lines_are_ignored(self):
-        assert parse_durations_table("filename\tduration\nf1\t10\n\n\n") == {"f1": 10.0}
+        assert text_durations("filename\tduration\nf1\t10\n\n\n") == {"f1": 10.0}
 
     def test_blank_line_between_rows_names_its_line(self):
         with pytest.raises(BadRow, match=r"<input>:3: expected 2 tab-separated fields, got 1"):
-            parse_durations_table("filename\tduration\nf1\t10\n\nf2\t5\n")
+            text_durations("filename\tduration\nf1\t10\n\nf2\t5\n")
 
 
 def write_tables(tmp_path, gt_rows, durations):
