@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError
 from .events import CollarParams, Dataset, EvalParams, EventSet, _validated
 from .matching import CountsMatrix, _tally, _Verdict, _verdicts, count_matrix
-from .psdroc import ClassCurve, PsdRoc
+from .psdroc import PsdRoc, _staircase_rows
 from .rates import ClassRates, F1Report
 
 __all__ = [
@@ -199,14 +199,16 @@ def _text_events(
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
     """Load and cross-validate ground truth and durations tables."""
     durations = load_durations(durations_path)
-    events = _text_events(_read_table(Path(gt_path)), str(gt_path), durations, None)
+    gt_path = Path(gt_path)
+    events = _text_events(_read_table(gt_path), str(gt_path), durations, None)
     return Dataset._of_placed(events, durations)
 
 
 def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
     """Load a detection table, validated against the dataset's files and classes."""
+    path = Path(path)
     allowed = frozenset(dataset.classes)
-    return _text_events(_read_table(Path(path)), str(path), dataset.file_durations, allowed)
+    return _text_events(_read_table(path), str(path), dataset.file_durations, allowed)
 
 
 def sweep_operating_points(
@@ -527,8 +529,8 @@ def _tsv_report(report: dict) -> str:
         blocks.append(_table_block("psd_roc", ("efpr", "etpr"), map(_numbers, report["psd_roc"])))
     if "class_rocs" in report:
         classes = sorted(report["class_rocs"])
-        curves = [ClassCurve(c, tuple(report["class_rocs"][c])) for c in classes]
-        rows = ([e, *(curve.value_at(e) for curve in curves)] for e, _ in report["psd_roc"])
+        grid = [e for e, _ in report["psd_roc"]]
+        rows = _staircase_rows([report["class_rocs"][c] for c in classes], grid)
         blocks.append(
             _table_block(
                 "class_roc",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .events import Dataset, EvalParams
 from .matching import CountsMatrix
@@ -129,6 +129,34 @@ def staircase(points: Sequence[OpPoint], class_label: str = "") -> ClassCurve:
     return ClassCurve(class_label=class_label, breakpoints=breakpoints)
 
 
+def _staircase_rows(
+    breakpoints: Sequence[Sequence[Sequence[float]]], grid: Sequence[float]
+) -> Iterator[tuple[float, ...]]:
+    """Each staircase's value at each abscissa of an ascending grid.
+
+    ``breakpoints`` holds one staircase's ``(efpr, tp_ratio)`` pairs per
+    class, in ascending eFPR, as :attr:`ClassCurve.breakpoints` and a
+    report's ``class_rocs`` hold them. Gives one tuple per abscissa: the
+    abscissa, then each staircase's value there, as
+    :meth:`ClassCurve.value_at` gives it. Each staircase's breakpoints are
+    walked once along the grid, which measures faster than a bisection
+    per abscissa.
+    """
+    columns = []
+    for pairs in breakpoints:
+        column = []
+        walk = iter(pairs)
+        value = 0.0
+        ahead = next(walk, None)  # the first breakpoint not yet passed
+        for e in grid:
+            while ahead is not None and ahead[0] <= e:
+                value = ahead[1]
+                ahead = next(walk, None)
+            column.append(value)
+        columns.append(column)
+    return zip(grid, *columns)
+
+
 def integrate_psds(points: Sequence[tuple[float, float]], max_efpr: float) -> float:
     """Exact area under a right-continuous staircase on [0, max_efpr], normalized.
 
@@ -171,10 +199,8 @@ def merge_psd_roc(
     grid = {0.0, max_efpr}
     for curve in curves.values():
         grid.update(e for e, _ in curve.breakpoints if e <= max_efpr)
-    points = tuple(
-        (e, effective_tpr((c.value_at(e) for c in curves.values()), alpha_st, clamp=clamp))
-        for e in sorted(grid)
-    )
+    rows = _staircase_rows([c.breakpoints for c in curves.values()], sorted(grid))
+    points = tuple((e, effective_tpr(values, alpha_st, clamp=clamp)) for e, *values in rows)
     return PsdRoc(
         points=points,
         psds=integrate_psds(points, max_efpr),

@@ -9,9 +9,10 @@ normalized by the total labelled duration of the class being triggered.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from statistics import fmean, pstdev
-from typing import Iterable, Iterator, Mapping
+from statistics import fmean
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateClassCount, EmptyClassGroundTruth, ZeroLabelDuration
 from .events import Dataset, EvalParams, _left_sum
@@ -63,24 +64,64 @@ def effective_fpr(
     return fp_rate + alpha_ct * _left_sum(ct_rates.values()) / (n_classes - 1)
 
 
+# The bits to which :func:`_pstdev` scales a variance before its integer square
+# root: 2p + 3 for p-bit floats, as in CPython's ``statistics`` from 3.11 on.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation of finite rationals, correctly rounded.
+
+    The same bits as ``statistics.pstdev`` of Python 3.11 and later, on
+    every Python version, in integer arithmetic alone. With one common
+    denominator ``d``, each value is ``m / d`` for an integer ``m`` (a float's
+    denominator is a power of two), so the variance is the exact fraction
+    ``(n * sum(m**2) - sum(m)**2) / (n**2 * d**2)``. Its square root is
+    taken by ``math.isqrt`` of the fraction scaled to about 109 bits, with
+    the lowest bit set when the root is inexact (round to odd), so the one
+    final int-to-float division rounds correctly.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    d = math.lcm(*[e for _, e in ratios])
+    ms = [m * (d // e) for m, e in ratios]
+    n = len(ms)
+    total = sum(ms)
+    num = n * sum([m * m for m in ms]) - total * total
+    den = n * n * d * d
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    if q >= 0:
+        return float(root << q)
+    return root / (1 << -q)
+
+
 def effective_tpr(tp_ratios: Iterable[float], alpha_st: float, *, clamp: bool = True) -> float:
     """Cross-class mean TP ratio, penalized by cross-class instability.
 
     Returns ``mean - alpha_st * std`` where ``std`` is the population
     standard deviation over classes (the class set is the whole population
-    of interest). A negative result has no operational meaning, so it is
-    clamped to zero unless ``clamp=False`` asks for the literal value.
-    ``alpha_st`` must be finite and non-negative: a NaN would be clamped
-    away into a silent 0, and a negative weight would reward instability.
+    of interest), correctly rounded. A negative result has no operational
+    meaning, so it is clamped to zero unless ``clamp=False`` asks for the
+    literal value. ``alpha_st`` must be finite and non-negative, and every
+    TP ratio finite: a NaN would be clamped away into a silent 0, and a
+    negative weight would reward instability.
     """
     if not 0 <= alpha_st < math.inf:
         raise ValueError(f"alpha_st must be finite and >= 0, got {alpha_st}")
     values = list(tp_ratios)
     if not values:
         raise ValueError("effective_tpr needs at least one class")
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"TP ratios must be finite, got {bad}")
     result = fmean(values)
-    if alpha_st != 0:  # the exact std is costly, and ``result - 0 * std`` is ``result``
-        result -= alpha_st * pstdev(values)
+    if alpha_st != 0:  # the std is costly, and ``result - 0 * std`` is ``result``
+        result -= alpha_st * _pstdev(values)
     if clamp:
         return max(0.0, result)
     return result

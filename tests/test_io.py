@@ -235,6 +235,22 @@ class TestLoadDataset:
         assert "gt.tsv" in str(err.value)
         assert "line 2" in str(err.value)
 
+    def test_every_table_is_named_by_its_normalised_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_tables(tmp_path, [("f9", 0.0, 1.0, "dog")], {"f1": 60.0})
+        with pytest.raises(UnknownFile) as err:
+            load_dataset("./gt.tsv", "./durations.tsv")
+        assert str(err.value) == "no duration entry for file 'f9' (gt.tsv, line 2)"
+        write_tables(tmp_path, [("f1", 0.0, 1.0, "dog")], {"f1": 0.0})
+        with pytest.raises(BadRow) as err:
+            load_dataset("./gt.tsv", "./durations.tsv")
+        assert str(err.value) == "durations.tsv:2: duration must be > 0, got 0.0"
+        write_tables(tmp_path, [("f1", 0.0, 1.0, "dog")], {"f1": 60.0})
+        write_detections(tmp_path / "det.tsv", [("f1", 0.0, 1.0, "cat")])
+        with pytest.raises(UnknownClassLabel) as err:
+            load_detections("./det.tsv", load_dataset("./gt.tsv", "./durations.tsv"))
+        assert "(det.tsv, line 2)" in str(err.value)
+
     def test_event_table_byte_order_mark_is_skipped(self, tmp_path):
         gt, _ = write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0})
         add_byte_order_mark(gt)

@@ -22,7 +22,7 @@ from sedscore import (
     psd_roc_from_rates,
     staircase,
 )
-from sedscore.psdroc import _psd_roc
+from sedscore.psdroc import _psd_roc, _staircase_rows
 
 
 def points(*pairs):
@@ -366,3 +366,24 @@ def test_builder_equals_the_per_op_construction(sweep):
     assert repr(roc.points) == repr(reference.points)
     assert repr(roc) == repr(reference)
     assert all(type(p) is OpPoint for points in roc.op_points.values() for p in points)
+
+
+@st.composite
+def curves_and_grid(draw):
+    """Staircases of tied values and an ascending grid that holds some of their eFPRs."""
+    curves = [
+        staircase(pareto_filter(points(*draw(st.lists(st.tuples(TIED_VALUES, TIED_VALUES))))))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    efprs = [e for curve in curves for e, _ in curve.breakpoints]
+    extra = st.one_of(TIED_VALUES, st.floats(-1.0, 200.0), st.sampled_from(efprs or [0.0]))
+    return curves, sorted(draw(st.lists(extra, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=curves_and_grid())
+def test_staircase_rows_equal_value_at(drawn):
+    curves, grid = drawn
+    rows = list(_staircase_rows([c.breakpoints for c in curves], grid))
+    # repr tells -0.0 from 0.0 and True from 1 from 1.0, which == does not
+    assert repr(rows) == repr([(e, *(c.value_at(e) for c in curves)) for e in grid])

@@ -21,6 +21,7 @@ from sedscore import (
     effective_fpr,
     effective_tpr,
     f1_scores,
+    rates,
 )
 
 
@@ -208,11 +209,29 @@ class TestEffectiveTpr:
     def test_zero_alpha_skips_the_std(self):
         values = [0.1, 0.7, 0.35, 0.35]
         unskipped = statistics.fmean(values) - 0.0 * statistics.pstdev(values)
-        with mock.patch("sedscore.rates.pstdev", wraps=statistics.pstdev) as pstdev:
+        with mock.patch("sedscore.rates._pstdev", wraps=rates._pstdev) as pstdev:
             assert effective_tpr(values, 0.0) == unskipped
             assert pstdev.call_count == 0
             effective_tpr(values, 0.5)
             assert pstdev.call_count == 1
+
+    @pytest.mark.parametrize("alpha_st", [0.0, 1.0])
+    @pytest.mark.parametrize("clamp", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tp_ratios(self, bad, alpha_st, clamp):
+        # with alpha_st 0 and clamp, max(0.0, nan) would give a silent 0
+        with pytest.raises(ValueError, match=f"TP ratios must be finite, got {bad}"):
+            effective_tpr([0.5, bad, 1.0], alpha_st, clamp=clamp)
+
+    def test_the_finite_check_comes_before_the_std(self):
+        with mock.patch("sedscore.rates._pstdev", wraps=rates._pstdev) as pstdev:
+            with pytest.raises(ValueError, match="got nan"):
+                effective_tpr([0.5, math.nan], 1.0)
+        assert pstdev.call_count == 0
+
+    def test_accepts_ints_and_bools(self):
+        assert effective_tpr([1, 0.5], 1.0) == 0.5
+        assert effective_tpr([True, False], 1.0, clamp=False) == 0.0
 
     def test_requires_at_least_one_class(self):
         with pytest.raises(ValueError):
