@@ -13,20 +13,26 @@ byte-identical to the previous one reuses that table's counts. Tables
 often nest, so a row whose exact text appeared in the previous table, or
 earlier in the same one, reuses that row's match record instead of being
 parsed, validated and matched again, until a table reuses too few rows
-to pay for the lookups. Parsing is strict and fail-fast so a half-read
-sweep can never silently skew a score.
+to pay for the lookups. While it does, a table that differs from the
+previous one in a few rows, with the other rows in the same order, gets
+its counts by stepping the previous table's tally by the rows that left
+and came. Parsing is strict and fail-fast so a half-read sweep can never
+silently skew a score.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from itertools import compress, count, filterfalse, islice
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError
 from .events import CollarParams, Dataset, EvalParams, EventSet, _validated
-from .matching import CountsMatrix, _tally, _Verdict, _verdicts, count_matrix
+from .matching import CountsMatrix, _Tally, _Verdict, _verdicts, count_matrix
 from .psdroc import PsdRoc, _staircase_rows
 from .rates import ClassRates, F1Report
 
@@ -81,8 +87,8 @@ def _read_table(path: Path) -> str:
         ) from None
 
 
-def _lines(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, str]]:
-    """``(line number, text)`` of each data row of a table, in order.
+def _lines(text: str, header: tuple[str, ...], name: str) -> list[str]:
+    """The text of each data row of a table, in order; the first is line 2.
 
     Lines end at ``\\n``; one ``\\r`` before it is dropped, so LF and CRLF
     tables read alike and no other character shifts a line number. Checks
@@ -98,7 +104,8 @@ def _lines(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int,
         raise MalformedHeader(f"{name}:1: expected header '{chr(9).join(header)}'")
     while not lines[-1]:
         lines.pop()
-    return enumerate(lines[1:], start=2)
+    del lines[0]
+    return lines
 
 
 def _rows(
@@ -144,7 +151,7 @@ def _event_rows(
 def _text_durations(text: str, source: str) -> dict[str, float]:
     """The filename -> seconds map of a durations table's text."""
     durations: dict[str, float] = {}
-    numbered = _lines(text, DURATIONS_HEADER, source)
+    numbered = enumerate(_lines(text, DURATIONS_HEADER, source), 2)
     for lineno, (filename, dur_raw) in _rows(numbered, DURATIONS_HEADER, source):
         if filename in durations:
             raise BadRow(f"{source}:{lineno}: duplicate filename '{filename}'")
@@ -170,7 +177,8 @@ def load_event_table(path: str | Path) -> list[TableRow]:
     which read and validate in one pass, are preferred.
     """
     path = Path(path)
-    rows = _event_rows(_lines(_read_table(path), EVENT_HEADER, str(path)), str(path))
+    lines = _lines(_read_table(path), EVENT_HEADER, str(path))
+    rows = _event_rows(enumerate(lines, 2), str(path))
     return list(map(TableRow._make, rows))
 
 
@@ -192,7 +200,7 @@ def _text_events(
     allowed: frozenset[str] | None,
 ) -> EventSet:
     """The validated events of an event table's text."""
-    rows = _event_rows(_lines(text, EVENT_HEADER, source), source)
+    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source)
     return EventSet(tuple(_validated(rows, file_durations, allowed, source)))
 
 
@@ -209,6 +217,87 @@ def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
     path = Path(path)
     allowed = frozenset(dataset.classes)
     return _text_events(_read_table(path), str(path), dataset.file_durations, allowed)
+
+
+# A table is stepped from the previous table's tally when the lines that
+# left and came, one per occurrence, are at most this share of its lines,
+# and tallied from scratch otherwise. Timed on Python 3.11 (2 vCPUs), on a
+# table of the benchmark's dcase-val and long-file corpora with a random
+# share of its lines deleted, a step costs about 0.2 us per line of the
+# table plus 2.4-2.9 us per line that left or came, and a tally from
+# scratch 0.85-1.0 us per line: they break even at a share of 0.25-0.30.
+# The first step after a tally from scratch also indexes which lines cover
+# each ground truth, and repeated lines make the difference dearer to
+# find, so the share is set below that.
+_STEP_SHARE = 0.2
+
+
+def _first_appearances(lines: list[str], rows: list[str]) -> Iterable[tuple[int, str]]:
+    """``(line number, row)`` of where each of ``rows`` first appears in ``lines``.
+
+    ``rows`` are distinct and come in the order of their first
+    appearances, so one scan of ``lines`` finds them all, and when they
+    are as many as the lines, they are the lines.
+    """
+    if len(rows) == len(lines):
+        return zip(count(2), rows)
+    numbers, at = [], 0
+    for row in rows:
+        at = lines.index(row, at)
+        numbers.append(at + 2)
+    return zip(numbers, rows)
+
+
+def _common_head(a: Iterable[str], b: Iterable[str], most: int) -> int:
+    """How many leading pairs of ``a`` and ``b``, of the first ``most``, are equal."""
+    return next(compress(count(), map(ne, islice(a, most), b)), most)
+
+
+def _difference(
+    before: list[str], after: list[str], n_distinct: int, gone: list[str], fresh: list[str]
+) -> tuple[list[str], list[str]] | None:
+    """The rows that left and came from one table's lines to the next's, or None.
+
+    ``gone`` are the distinct rows of ``before`` that ``after`` lacks,
+    ``fresh`` those of ``after`` that ``before`` lacks, and ``n_distinct``
+    counts the distinct rows of ``after``. A row is listed once per
+    occurrence that left or came, so a repeated row that lost or gained
+    occurrences is listed that many times. None means ``after`` is to be
+    tallied from scratch: the rows that stayed changed order, or the
+    difference is more than :data:`_STEP_SHARE` of the table.
+    """
+    if len(gone) + len(fresh) > _STEP_SHARE * len(after):
+        return None
+    left, came = set(gone), set(fresh)
+    kept_before = list(filterfalse(left.__contains__, before)) if left else before
+    kept_after = list(filterfalse(came.__contains__, after)) if came else after
+    left_rows, came_rows = gone, fresh
+    if len(before) - len(kept_before) > len(gone):  # a row that left was repeated
+        left_rows = list(filter(left.__contains__, before))
+    if len(after) - len(kept_after) > len(fresh):
+        came_rows = list(filter(came.__contains__, after))
+    if kept_before != kept_after:
+        if len(kept_before) == len(kept_after) == n_distinct - len(fresh):
+            return None  # neither table repeats a kept row, so the kept rows changed order
+        # a repeated row may have lost or gained occurrences, which lie
+        # between the longest common head and tail of the kept rows
+        most = min(len(kept_before), len(kept_after))
+        head = _common_head(kept_before, kept_after, most)
+        tail = _common_head(reversed(kept_before), reversed(kept_after), most - head)
+        rest_before = kept_before[head : len(kept_before) - tail]
+        rest_after = kept_after[head : len(kept_after) - tail]
+        lost = Counter(rest_before)
+        lost.subtract(rest_after)
+        recounted = {row for row, n in lost.items() if n}
+        if not recounted or list(filterfalse(recounted.__contains__, rest_before)) != list(
+            filterfalse(recounted.__contains__, rest_after)
+        ):
+            return None
+        left_rows = [*left_rows, *(+lost).elements()]
+        came_rows = [*came_rows, *(-lost).elements()]
+    if len(left_rows) + len(came_rows) > _STEP_SHARE * len(after):
+        return None
+    return left_rows, came_rows
 
 
 def sweep_operating_points(
@@ -234,6 +323,14 @@ def sweep_operating_points(
     on every line, so once a table reuses the record of fewer than one line
     in ten, as when every threshold moves the event edges, the remaining
     tables are scored without lookups.
+
+    While lines are looked up, the previous table's tally is kept. A table
+    whose lines that left and came since the previous table, counted once
+    per occurrence, are at most :data:`_STEP_SHARE` of its lines, and
+    whose other lines keep their order, steps that tally by the records of
+    those lines (:meth:`matching._Tally.step`). Any other table is tallied
+    from scratch. Either way its counts are those of ``count_matrix``, GTC
+    sums included, which are taken in the table's own line order.
     """
     det_dir = Path(det_dir)
     if not det_dir.is_dir():
@@ -247,6 +344,7 @@ def sweep_operating_points(
     # scored; None once the tables stop repeating lines
     known: dict[str, _Verdict] | None = {}
     previous = None  # the previous table's text
+    held: list[str] = []  # the previous table's lines, whose counts ``tally`` holds
     for path in paths:
         text = _read_table(path)
         if text == previous:
@@ -259,21 +357,25 @@ def sweep_operating_points(
             counts[path.stem] = matrix = count_matrix(events, dataset, params)
             continue
         compared = bool(known)  # false for the first table and after an empty one
-        lines: list[str] = []
-        fresh: dict[str, int] = {}  # line text -> line number, where it first appears
-        for lineno, line in _lines(text, EVENT_HEADER, source):
-            lines.append(line)
-            if line not in known and line not in fresh:
-                fresh[line] = lineno
-        rows = _event_rows(zip(fresh.values(), fresh), source)
+        lines = _lines(text, EVENT_HEADER, source)
+        distinct = dict.fromkeys(lines)
+        fresh = list(filterfalse(known.__contains__, distinct))
+        rows = _event_rows(_first_appearances(lines, fresh), source)
         events = _validated(rows, dataset.file_durations, allowed, source)
         known.update(zip(fresh, _verdicts(events, dataset, params)))
-        verdicts = list(map(known.__getitem__, lines))
-        counts[path.stem] = matrix = _tally(verdicts, dataset, params)
+        gone = list(filterfalse(distinct.__contains__, known))
+        difference = _difference(held, lines, len(distinct), gone, fresh) if compared else None
+        if difference is None:
+            tally = _Tally(list(map(known.__getitem__, lines)), dataset, params)
+        else:
+            tally.step(*difference, held, lines, known)
+        counts[path.stem] = matrix = tally.counts()
         if compared and 10 * (len(lines) - len(fresh)) < len(lines):
             known = None
         else:
-            known = dict(zip(lines, verdicts))
+            for line in gone:
+                del known[line]
+            held = lines
     return counts
 
 

@@ -28,15 +28,20 @@ folded by class, cross-trigger. A record depends only on the detection,
 the dataset and the params, so a sweep can reuse it for a repeated row.
 The tally of a table's records, in detection order, gives its counts:
 GTC sums, for each touched ground truth, the overlaps of the relevant
-detections in that order, with no second index. The collar baseline
-indexes each class's ground truth the same way and makes one pass over
-the detections, bisecting for onsets within the collar.
+detections in that order, with no second index. A sweep keeps the tally
+of one table and steps it to the next by the records of the rows that
+left and came: integer counts change exactly, and each ground truth that
+a changed row covers is summed again over the new table's rows, in their
+order, so a stepped table's counts are the ones its own tally gives. The
+collar baseline indexes each class's ground truth the same way and makes
+one pass over the detections, bisecting for onsets within the collar.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownClassLabel
 from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex
@@ -158,40 +163,117 @@ def _verdicts(
             yield c, None, _cross_trigger(det, c, coverage, cttc, classes)
 
 
-def _tally(verdicts: Iterable[_Verdict], dataset: Dataset, params: EvalParams) -> CountsMatrix:
-    """Counts of one table from its detections' records, taken in detection order.
+class _Tally:
+    """The counts of one table's records, kept so the next table's can be stepped from them.
 
-    GTC sums, for each touched ground truth, the overlaps of the relevant
-    detections in the order the records come, so the sums are the same
-    floats whether a record was computed for this table or reused.
+    The state is the per-class ``n_sys``, ``n_fp``, ``n_tp`` and
+    cross-trigger counts, and each touched ground truth's GTC sum: the
+    overlaps of the relevant detections that cover it, added left to
+    right in table order. Integer counts step exactly, and a ground truth
+    that a changed row covers takes its sum again over the new table, in
+    its row order, so every count is the one a tally from scratch gives.
     """
-    classes = dataset.classes
-    gt = dataset.ground_truth.events
-    n_sys = dict.fromkeys(classes, 0)
-    n_fp = dict.fromkeys(classes, 0)
-    ct = _no_cross_triggers(classes)
-    # ground-truth input position -> sum of the overlaps of relevant
-    # detections, added in detection order
-    gt_coverage: dict[int, float] = {}
-    for c, own, crossed in verdicts:
-        n_sys[c] += 1
-        if own is None:
-            n_fp[c] += 1
-            row = ct[c]
-            for other in crossed:
-                row[other] += 1
-        else:
-            for i, overlap in own:
-                gt_coverage[i] = gt_coverage.get(i, 0.0) + overlap
-    n_gt = _n_gt(dataset)
-    if params.gtc_threshold == 0:  # every ground truth counts, touched or not
-        n_tp = dict(n_gt)
-    else:
-        n_tp = dict.fromkeys(classes, 0)
-        for i, covered in gt_coverage.items():
-            if covered / gt[i].duration >= params.gtc_threshold:
-                n_tp[gt[i].class_label] += 1
-    return CountsMatrix(classes, n_gt, n_sys, n_tp, n_fp, ct)
+
+    def __init__(self, records: Iterable[_Verdict], dataset: Dataset, params: EvalParams) -> None:
+        """Tally the records of one table, taken in table order."""
+        classes = dataset.classes
+        self._classes = classes
+        self._gt = dataset.ground_truth.events
+        self._gtc = params.gtc_threshold
+        self._n_gt = _n_gt(dataset)
+        self._n_sys = dict.fromkeys(classes, 0)
+        self._n_fp = dict.fromkeys(classes, 0)
+        self._ct = _no_cross_triggers(classes)
+        # with a zero GTC every ground truth counts, touched or not
+        self._n_tp = dict.fromkeys(classes, 0) if self._gtc else dict(self._n_gt)
+        self._covered: dict[int, float] = {}  # ground-truth position -> GTC sum
+        self._add(records, 1, self._covered)
+        if self._gtc:
+            gt, n_tp = self._gt, self._n_tp
+            for i, total in self._covered.items():
+                if total / gt[i].duration >= self._gtc:
+                    n_tp[gt[i].class_label] += 1
+        # ground-truth position -> the rows that cover it; built on the first step
+        self._covering: defaultdict[int, list[Hashable]] | None = None
+
+    def _add(self, records: Iterable[_Verdict], sign: int, covered: dict[int, float]) -> None:
+        """Add ``sign`` times the counts of each record, and its own overlaps to ``covered``.
+
+        A relevant record's overlaps are added to the entries of the ground
+        truths it covers, left to right in the order the records come, as
+        they are: a step reads only which ground truths got an entry.
+        """
+        n_sys, n_fp, ct = self._n_sys, self._n_fp, self._ct
+        for c, own, crossed in records:
+            n_sys[c] += sign
+            if own is None:
+                n_fp[c] += sign
+                counts = ct[c]
+                for other in crossed:
+                    counts[other] += sign
+            else:
+                for i, overlap in own:
+                    covered[i] = covered.get(i, 0.0) + overlap
+
+    def step(
+        self,
+        left: Sequence[Hashable],
+        came: Sequence[Hashable],
+        before: Sequence[Hashable],
+        after: Sequence[Hashable],
+        records: Mapping[Hashable, _Verdict],
+    ) -> None:
+        """Step the counts from the table of rows ``before`` to that of rows ``after``.
+
+        ``left`` holds one entry per occurrence that left ``before`` and
+        ``came`` one per occurrence that came into ``after``. The rows
+        that stayed must keep their order, apart from the occurrences of
+        a row that is also in ``left`` or ``came``, so the sum of a ground
+        truth that no changed row covers stays as it is. ``records`` gives
+        the record of each row of either table.
+        """
+        # the ground truths that a changed row covers, each summed again below
+        changed: dict[int, float] = {}
+        self._add(map(records.__getitem__, left), -1, changed)
+        self._add(map(records.__getitem__, came), 1, changed)
+        if not (changed and self._gtc):
+            return
+        covering = self._covering
+        if covering is None:
+            self._covering = covering = defaultdict(list)
+            for row in before:
+                for i, _ in records[row][1] or ():
+                    covering[i].append(row)
+        # the rows of ``after`` that cover a changed ground truth: a row that
+        # left and stays is still on the lists of the ground truths it covers
+        rows = {row for row in came if records[row][1] is not None}
+        for i in changed:
+            rows.update(covering.pop(i, ()))
+        sums: dict[int, float] = {}
+        for row in filter(rows.__contains__, after):
+            for i, overlap in records[row][1]:
+                if i in changed:
+                    covering[i].append(row)
+                    sums[i] = sums.get(i, 0.0) + overlap
+        gt, gtc, n_tp, covered = self._gt, self._gtc, self._n_tp, self._covered
+        for i in changed:
+            duration = gt[i].duration
+            passed = covered.pop(i, 0.0) / duration >= gtc
+            if i in sums:
+                covered[i] = sums[i]
+            if (sums.get(i, 0.0) / duration >= gtc) != passed:
+                n_tp[gt[i].class_label] += -1 if passed else 1
+
+    def counts(self) -> CountsMatrix:
+        """The counts of the table tallied last, in objects of their own."""
+        return CountsMatrix(
+            self._classes,
+            dict(self._n_gt),
+            dict(self._n_sys),
+            dict(self._n_tp),
+            dict(self._n_fp),
+            {c: dict(row) for c, row in self._ct.items()},
+        )
 
 
 def _n_gt(dataset: Dataset) -> dict[str, int]:
@@ -219,7 +301,7 @@ def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> 
     share of every ground truth's GTC coverage and its cross-triggers.
     """
     _check_labels(detections, dataset.classes)
-    return _tally(_verdicts(detections, dataset, params), dataset, params)
+    return _Tally(_verdicts(detections, dataset, params), dataset, params).counts()
 
 
 def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:

@@ -226,7 +226,9 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
     pairs. Equal pairs are kept or dropped together by :func:`pareto_filter`,
     and :func:`staircase` keeps the first of them in sorted order, which is
     the first in op-id order: its values, signed zeros included, are the
-    ones a curve built from every point holds.
+    ones a curve built from every point holds. A NaN eFPR, which no order
+    can place, is a ``ValueError`` naming the first op, in op-id order, and
+    the class that hold one.
     """
     runs: list[tuple[_OpValues, list[str]]] = []  # (values, the ops of a run)
     for op in sorted(values_by_op):
@@ -244,6 +246,8 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
     firsts: dict[str, dict[tuple[float, float], str]] = {c: {} for c in columns}
     for values, ops in runs:
         for c, efpr, tp_ratio in values:
+            if math.isnan(efpr):  # it would sort nowhere, and the score would follow op order
+                raise ValueError(f"op '{ops[0]}': class '{c}' has a NaN eFPR")
             # tuple.__new__ makes each OpPoint without NamedTuple's Python-level __new__
             points = zip(repeat(efpr), repeat(tp_ratio), ops)
             columns[c].extend(map(tuple.__new__, repeat(OpPoint), points))

@@ -264,6 +264,15 @@ class TestPsdRocFromRates:
             roc = psd_roc_from_rates(rates_by_op, params)
             assert 0.0 <= roc.psds <= 1.0
 
+    @pytest.mark.parametrize("nan_op, other_op", [("op1", "op2"), ("op2", "op1")])
+    def test_nan_efpr_rejected_whatever_the_op_order(self, nan_op, other_op):
+        rates_by_op = {
+            nan_op: {"a": self.rates(1.0, math.nan), "b": self.rates(0.5, 10.0)},
+            other_op: {"a": self.rates(0.2, 5.0), "b": self.rates(0.8, 20.0)},
+        }
+        with pytest.raises(ValueError, match=f"^op '{nan_op}': class 'a' has a NaN eFPR$"):
+            psd_roc_from_rates(rates_by_op, EvalParams())
+
     def test_inconsistent_class_sets_rejected(self):
         rates_by_op = {
             "x": {"a": self.rates(0.5, 1.0)},

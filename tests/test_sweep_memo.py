@@ -8,10 +8,13 @@ from one candidate list, nested or not, with repeated rows, CRLF line ends,
 header-only tables and tables byte-identical to the one before them;
 candidates include rows that differ from another in one field only, and
 ``split_instances`` puts a ground truth's GTC verdict on a tie that only
-summation in detection order reproduces. A table byte-identical to the
+summation in detection order reproduces. In the ``edited`` shape each
+table deletes, inserts and repeats a few rows of the previous one, so the
+sweep steps the previous table's tally; its tie falls on a table that
+gained a piece of the whole ground truth. A table byte-identical to the
 previous one shares that table's counts object. Once a table reuses fewer
 than one row in ten, the rest of the sweep is scored without lookups; the
-unit tests below pin where that happens.
+unit tests below pin where that happens, and when a table is stepped.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_force_counts
 from sedscore import Event, EventSet, SedScoreError, count_matrix, total_intersection
-from sedscore.io import EVENT_HEADER, load_dataset, load_detections, sweep_operating_points
+from sedscore.io import (
+    _STEP_SHARE,
+    EVENT_HEADER,
+    load_dataset,
+    load_detections,
+    sweep_operating_points,
+)
+from sedscore.matching import _Tally
 
 from conftest import default_params
 from test_indexed_matching import FILES, _tie, as_dataset, split_instances, threshold
@@ -53,24 +63,78 @@ def near_copies(draw, rows, classes):
     return copies
 
 
+def _inside(row, event) -> bool:
+    """Whether ``row`` lies inside ``event``, in its file and with its label."""
+    same = (row[0], row[3]) == (event.file_id, event.class_label)
+    return same and event.onset <= row[1] and row[2] <= event.offset
+
+
+@st.composite
+def edits(draw, first, candidates, n_tables):
+    """Tables that each edit the previous one, starting from ``first``.
+
+    An edit deletes one occurrence of a row or every occurrence of it, and
+    inserts a row once or twice, at drawn places: a candidate, or a row of
+    the table, which then gains an occurrence. Now and then it also moves
+    one row, the only edit that changes the order of the rows that stay.
+    """
+    tables = [first]
+    for _ in range(n_tables - 1):
+        rows = list(tables[-1])
+        for _ in range(draw(st.integers(0, 2))):
+            if rows:
+                row = rows[draw(st.integers(0, len(rows) - 1))]
+                if draw(st.booleans()):
+                    rows.remove(row)
+                else:
+                    rows = [r for r in rows if r != row]
+        for _ in range(draw(st.integers(0, 2))):
+            row = draw(st.sampled_from(candidates + rows))
+            for _ in range(draw(st.integers(1, 2))):
+                rows.insert(draw(st.integers(0, len(rows))), row)
+        if rows and draw(st.integers(0, 4)) == 0:
+            row = rows.pop(draw(st.integers(0, len(rows) - 1)))
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        tables.append(rows)
+    return tables
+
+
 @st.composite
 def sweeps(draw):
-    """A split instance and its sweep: ``(gt_rows, tables, layouts, whole, target)``.
+    """A split instance and its sweep: ``(gt_rows, tables, layouts, whole, target, tie)``.
 
     ``tables`` maps a file name to the table's rows, in row order, and
     ``layouts`` maps it to the table's line end and whether the last row
     ends with one. Some tables repeat the previous table byte for byte.
+    ``tie`` names the table whose row order sets a GTC tie, or is None
+    for the largest table. In the ``edited`` shape it is a table that
+    gained a piece of the whole ground truth, often between two pieces
+    that stay, so that only a sum in that table's order keeps the verdict.
     """
     gt_rows, det_rows, whole, _, target = draw(split_instances())
     classes = sorted({r[3] for r in gt_rows})
     candidates = det_rows + draw(near_copies(det_rows, classes)) if det_rows else []
-    shape = draw(st.sampled_from(("ascending", "descending", "not nested")))
+    # about half the sweeps are edited ones, which are the ones mostly stepped
+    others = st.sampled_from(("ascending", "descending", "not nested"))
+    shape = draw(st.one_of(st.just("edited"), others))
     n_tables = draw(st.integers(1, 5))
+    tie = None
     if not candidates:
         subsets = [[] for _ in range(n_tables)]
     elif shape == "not nested":
         row = st.sampled_from(candidates)
         subsets = [draw(st.lists(row, max_size=12)) for _ in range(n_tables)]
+    elif shape == "edited":
+        # op_01 gets back, at a drawn place, a row that op_00 held back:
+        # for a GTC target, a piece of the whole ground truth
+        pieces = [r for r in det_rows if _inside(r, whole)] if target == "gtc" else []
+        back = draw(st.sampled_from(pieces or candidates))
+        ranked = [r for r in draw(st.permutations(candidates)) if r != back]
+        first = ranked[: draw(st.integers(len(ranked) // 2, len(ranked)))]
+        second = list(first)
+        second.insert(draw(st.integers(0, len(first))), back)
+        subsets = [first, *draw(edits(second, candidates, n_tables))]
+        tie = "op_01.tsv"
     else:
         ranked = draw(st.permutations(candidates))
         size = st.integers(0, len(ranked))
@@ -85,14 +149,15 @@ def sweeps(draw):
             previous = f"op_{k - 1:02d}.tsv"
             tables[name], layouts[name] = tables[previous], layouts[previous]
             continue
-        rows = list(draw(st.permutations(rows)))
-        if rows and draw(st.booleans()):  # a repeated row
-            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+        if shape != "edited":
+            rows = list(draw(st.permutations(rows)))
+            if rows and draw(st.booleans()):  # a repeated row
+                rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
         if draw(st.integers(0, 5)) == 0:  # header only
             rows = []
         tables[name] = rows
         layouts[name] = (draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()))
-    return gt_rows, tables, layouts, whole, target
+    return gt_rows, tables, layouts, whole, target, tie
 
 
 def _table_text(rows, newline="\n", line_end=True) -> str:
@@ -113,19 +178,19 @@ def _per_table(det_dir: Path, dataset, params):
     }
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=450, deadline=None, derandomize=True)
 @given(sweeps(), st.data())
 def test_sweep_equals_count_matrix_of_each_table(sweep, data):
-    gt_rows, tables, layouts, whole, target = sweep
+    gt_rows, tables, layouts, whole, target, tie = sweep
     dataset = as_dataset(gt_rows)
     ground_truth = dataset.ground_truth
     dtc, gtc, cttc = data.draw(threshold), data.draw(threshold), data.draw(threshold)
-    largest = max(tables.values(), key=len)
-    if target == "gtc" and largest:
+    tied = tables[tie] if tie else max(tables.values(), key=len)
+    if target == "gtc" and tied:
         # GTC of the whole ground truth on a tie of its coverage by the
-        # relevant pieces of the largest table, summed in that table's order
+        # relevant pieces of one table, summed in that table's order
         label = whole.class_label
-        dets = EventSet.from_events(Event(*r) for r in largest).for_class(label)
+        dets = EventSet.from_events(Event(*r) for r in tied).for_class(label)
         gt_c = ground_truth.for_class(label)
         relevant = [d for d in dets if total_intersection(d, gt_c) / d.duration >= dtc]
         gtc = _tie(data, total_intersection(whole, relevant) / whole.duration)
@@ -249,6 +314,54 @@ def test_lookups_go_on_while_a_table_reuses_a_tenth_of_its_rows(tmp_path, monkey
     fresh = [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(9)]
     tables = [OTHER_ROWS, [], ROWS, [ROWS[0], *fresh], fresh]
     assert _scored_without_lookups(tmp_path, monkeypatch, tables) == []
+
+
+def _tallies(tmp_path, monkeypatch, tables):
+    """Write ``tables`` as a sweep and return how each table was tallied: "recount" or "step"."""
+    made = []
+
+    class Tally(_Tally):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append("recount")
+
+        def step(self, *args):
+            super().step(*args)
+            made.append("step")
+
+    monkeypatch.setattr("sedscore.io._Tally", Tally)
+    _sweep_texts(tmp_path, monkeypatch, map(_table_text, tables))
+    return made
+
+
+# Distinct rows, some of them over ground truth, that each table of the
+# tests below keeps in this order.
+MANY = ROWS + OTHER_ROWS + [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(10)]
+
+
+def test_a_table_whose_kept_rows_change_order_is_tallied_from_scratch(tmp_path, monkeypatch):
+    swapped = [MANY[1], MANY[0], *MANY[2:]]
+    assert _tallies(tmp_path, monkeypatch, [MANY, swapped, swapped[:-1]]) == [
+        "recount",
+        "recount",
+        "step",
+    ]
+
+
+def test_a_repeated_row_that_loses_an_occurrence_is_stepped(tmp_path, monkeypatch):
+    # op_1 drops the second ROWS[0], op_2 the last row and one of two ROWS[1]
+    first = [*MANY[:5], ROWS[0], *MANY[5:], ROWS[1]]
+    second = [*MANY, ROWS[1]]
+    third = MANY[:-1]
+    assert _tallies(tmp_path, monkeypatch, [first, second, third]) == ["recount", "step", "step"]
+
+
+def test_a_difference_beyond_the_step_share_is_tallied_from_scratch(tmp_path, monkeypatch):
+    # op_1 loses 3 rows of 15, more than the share of its 12; op_2 loses 2
+    # of 12, exactly the share of its 10
+    assert _STEP_SHARE == 0.2
+    tables = [MANY, MANY[3:], MANY[3:-2]]
+    assert _tallies(tmp_path, monkeypatch, tables) == ["recount", "recount", "step"]
 
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
