@@ -54,8 +54,10 @@ class TimeUnit(enum.Enum):
 
 _UNIT_SECONDS = {TimeUnit.SECOND: 1.0, TimeUnit.MINUTE: 60.0, TimeUnit.HOUR: 3600.0}
 
+_set = object.__setattr__  # sets a field of a frozen instance
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Event:
     """One labelled time interval inside one audio file.
 
@@ -69,16 +71,22 @@ class Event:
     offset: float
     class_label: str
 
-    def __post_init__(self) -> None:
-        if self.onset < 0:
-            raise NegativeOnset(
-                f"onset {self.onset} of '{self.class_label}' in '{self.file_id}' is negative"
-            )
-        if not self.offset > self.onset:
+    # Written by hand, as one event is made per table row, in place of the
+    # generated frozen __init__ and a __post_init__ check. Fields are set
+    # through object.__setattr__, never __dict__, so that events keep
+    # sharing one key table.
+    def __init__(self, file_id: str, onset: float, offset: float, class_label: str) -> None:
+        if onset < 0:
+            raise NegativeOnset(f"onset {onset} of '{class_label}' in '{file_id}' is negative")
+        if not offset > onset:
             raise NonPositiveDuration(
-                f"event '{self.class_label}' [{self.onset}, {self.offset}] in "
-                f"'{self.file_id}' has non-positive duration"
+                f"event '{class_label}' [{onset}, {offset}] in "
+                f"'{file_id}' has non-positive duration"
             )
+        _set(self, "file_id", file_id)
+        _set(self, "onset", onset)
+        _set(self, "offset", offset)
+        _set(self, "class_label", class_label)
 
     @property
     def duration(self) -> float:

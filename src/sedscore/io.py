@@ -7,23 +7,26 @@ carry, and report a byte that is not UTF-8 as a parse error naming its
 line. Lines end at ``\n``, with one ``\r`` before it dropped, so line
 numbers are the file's own. ``load_dataset`` and ``load_detections`` turn
 each row into a validated event in one pass, so of several faulty rows
-the first is reported. A sweep is a directory with one detection table
-per operating point; the file stem names the operating point. A table
-byte-identical to the previous one reuses that table's counts. Tables
-often nest, so a row whose exact text appeared in the previous table, or
-earlier in the same one, reuses that row's match record instead of being
-parsed, validated and matched again, until a table reuses too few rows
-to pay for the lookups. While it does, a table that differs from the
-previous one in a few rows, with the other rows in the same order, gets
-its counts by stepping the previous table's tally by the rows that left
-and came. Parsing is strict and fail-fast so a half-read sweep can never
-silently skew a score.
+the first is reported. Every table is read by one ``os.read`` sized by
+the file's size. A sweep is a directory with one detection table per
+operating point, listed by one directory scan and taken in name order;
+the file stem names the operating point. A table whose bytes, compared
+before they are decoded, are those of the previous table reuses that
+table's counts. Tables often nest, so a row whose exact text appeared in
+the previous table, or earlier in the same one, reuses that row's match
+record instead of being parsed, validated and matched again, until a
+table reuses too few rows to pay for the lookups. While it does, a table
+that differs from the previous one in a few rows, with the other rows in
+the same order, gets its counts by stepping the previous table's tally
+by the rows that left and came. Parsing is strict and fail-fast so a
+half-read sweep can never silently skew a score.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from itertools import compress, count, filterfalse, islice
 from operator import ne
@@ -75,16 +78,50 @@ def _parse_number(raw: str, what: str, line: int, name: str) -> float:
     return value
 
 
-def _read_table(path: Path) -> str:
-    """A table file's text without a leading byte-order mark; a non-UTF-8 byte names its line."""
-    data = path.read_bytes()
+# Windows would otherwise translate line ends, which the table's bytes keep.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+
+
+def _read_table(path: str) -> bytes:
+    """A table file's bytes, as they are on disk.
+
+    One read sized by the file's size plus one byte finds the end of a
+    file that does not grow meanwhile; a read that fills that size goes
+    on to the end. A fault of the read names ``path``, as one of the open
+    does.
+    """
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        size = os.fstat(fd).st_size + 1
+        data = os.read(fd, size)
+        if len(data) == size:  # the file grew, or has no size, such as a pipe
+            chunks = [data]
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+    except OSError as exc:
+        exc.filename = path  # os.read does not name the file: "Is a directory"
+        raise
+    finally:
+        os.close(fd)
+    return data
+
+
+def _decoded(data: bytes, source: str) -> str:
+    """A table's text without a leading byte-order mark; a non-UTF-8 byte names its line."""
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(
-            f"{path}:{line}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+            f"{source}:{line}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
         ) from None
+
+
+def _table_text(path: str | Path) -> tuple[str, str]:
+    """``(text, source)`` of a table file, named ``str(Path(path))`` in every message."""
+    source = str(Path(path))
+    return _decoded(_read_table(source), source), source
 
 
 def _lines(text: str, header: tuple[str, ...], name: str) -> list[str]:
@@ -176,9 +213,8 @@ def load_event_table(path: str | Path) -> list[TableRow]:
     ``validate_events``; :func:`load_detections` and :func:`load_dataset`,
     which read and validate in one pass, are preferred.
     """
-    path = Path(path)
-    lines = _lines(_read_table(path), EVENT_HEADER, str(path))
-    rows = _event_rows(enumerate(lines, 2), str(path))
+    text, source = _table_text(path)
+    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source)
     return list(map(TableRow._make, rows))
 
 
@@ -189,8 +225,7 @@ def load_durations(path: str | Path) -> dict[str, float]:
     non-empty and unique, and durations finite and strictly positive.
     Empty lines at the end of the table are ignored.
     """
-    path = Path(path)
-    return _text_durations(_read_table(path), str(path))
+    return _text_durations(*_table_text(path))
 
 
 def _text_events(
@@ -207,16 +242,14 @@ def _text_events(
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
     """Load and cross-validate ground truth and durations tables."""
     durations = load_durations(durations_path)
-    gt_path = Path(gt_path)
-    events = _text_events(_read_table(gt_path), str(gt_path), durations, None)
+    events = _text_events(*_table_text(gt_path), durations, None)
     return Dataset._of_placed(events, durations)
 
 
 def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
     """Load a detection table, validated against the dataset's files and classes."""
-    path = Path(path)
     allowed = frozenset(dataset.classes)
-    return _text_events(_read_table(path), str(path), dataset.file_durations, allowed)
+    return _text_events(*_table_text(path), dataset.file_durations, allowed)
 
 
 # A table is stepped from the previous table's tally when the lines that
@@ -309,16 +342,18 @@ def sweep_operating_points(
 
     Returns one counts matrix per table, keyed by file stem, in
     lexicographic filename order regardless of how the directory lists
-    them. Any parse or validation problem aborts the whole sweep naming
-    the offending file; a partial sweep would make scores incomparable.
+    them. Any parse, validation or read problem aborts the whole sweep
+    naming the offending file as ``str(Path(det_dir) / name)``; a partial
+    sweep would make scores incomparable.
 
     Each table gives what ``count_matrix(load_detections(path, ...))``
-    gives. A table whose text is byte for byte that of the previous table,
-    as when a threshold crosses no detection score, is not scored again:
-    identical consecutive tables share one ``CountsMatrix`` object. Of
-    other tables, a line whose exact text appeared in the previous table,
-    or earlier in the same one, reuses that line's record: the tables of a
-    threshold sweep often nest, so most rows are scored once per sweep.
+    gives. A table whose bytes, as read and byte-order mark included, are
+    those of the previous table, as when a threshold crosses no detection
+    score, is neither decoded nor scored again: identical consecutive
+    tables share one ``CountsMatrix`` object. Of other tables, a line
+    whose exact text appeared in the previous table, or earlier in the
+    same one, reuses that line's record: the tables of a threshold sweep
+    often nest, so most rows are scored once per sweep.
     Looking a line up costs a small fraction of scoring it, but it is paid
     on every line, so once a table reuses the record of fewer than one line
     in ten, as when every threshold moves the event edges, the remaining
@@ -335,26 +370,36 @@ def sweep_operating_points(
     det_dir = Path(det_dir)
     if not det_dir.is_dir():
         raise NoOperatingPoints(f"detection path '{det_dir}' is not a directory")
-    paths = sorted(det_dir.glob("*.tsv"), key=lambda p: p.name)
-    if not paths:
+    # "*.tsv" as a glob matches it: regardless of case where names have none, as on Windows
+    with os.scandir(det_dir) as entries:
+        tables = sorted(
+            (e.name, e.path) for e in entries if os.path.normcase(e.name).endswith(".tsv")
+        )
+    if not tables:
         raise NoOperatingPoints(f"no .tsv detection tables in '{det_dir}'")
     allowed = frozenset(dataset.classes)
     counts: dict[str, CountsMatrix] = {}
     # line text -> record: the previous table's lines, and this table's once
     # scored; None once the tables stop repeating lines
     known: dict[str, _Verdict] | None = {}
-    previous = None  # the previous table's text
+    previous = None  # the previous table's bytes
     held: list[str] = []  # the previous table's lines, whose counts ``tally`` holds
-    for path in paths:
-        text = _read_table(path)
-        if text == previous:
-            counts[path.stem] = matrix
+    for name, path in tables:
+        op = name[:-4] or name  # the file stem: ".tsv" names op ".tsv"
+        try:
+            data = _read_table(path)
+        except OSError as exc:
+            exc.filename = str(det_dir / name)
+            raise
+        if data == previous:
+            counts[op] = matrix
             continue
-        previous = text
-        source = str(path)
+        previous = data
+        source = str(det_dir / name)
+        text = _decoded(data, source)
         if known is None:
             events = _text_events(text, source, dataset.file_durations, allowed)
-            counts[path.stem] = matrix = count_matrix(events, dataset, params)
+            counts[op] = matrix = count_matrix(events, dataset, params)
             continue
         compared = bool(known)  # false for the first table and after an empty one
         lines = _lines(text, EVENT_HEADER, source)
@@ -369,7 +414,7 @@ def sweep_operating_points(
             tally = _Tally(list(map(known.__getitem__, lines)), dataset, params)
         else:
             tally.step(*difference, held, lines, known)
-        counts[path.stem] = matrix = tally.counts()
+        counts[op] = matrix = tally.counts()
         if compared and 10 * (len(lines) - len(fresh)) < len(lines):
             known = None
         else:

@@ -227,8 +227,9 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
     and :func:`staircase` keeps the first of them in sorted order, which is
     the first in op-id order: its values, signed zeros included, are the
     ones a curve built from every point holds. A NaN eFPR, which no order
-    can place, is a ``ValueError`` naming the first op, in op-id order, and
-    the class that hold one.
+    can place, or a negative one, which would lift the curve from eFPR 0
+    on, is a ``ValueError`` naming the first op, in op-id order, and the
+    class that hold one; ``-0.0`` is a valid eFPR.
     """
     runs: list[tuple[_OpValues, list[str]]] = []  # (values, the ops of a run)
     for op in sorted(values_by_op):
@@ -246,8 +247,9 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
     firsts: dict[str, dict[tuple[float, float], str]] = {c: {} for c in columns}
     for values, ops in runs:
         for c, efpr, tp_ratio in values:
-            if math.isnan(efpr):  # it would sort nowhere, and the score would follow op order
-                raise ValueError(f"op '{ops[0]}': class '{c}' has a NaN eFPR")
+            if not efpr >= 0:  # NaN sorts nowhere; a negative eFPR lies left of the curve
+                problem = "a NaN eFPR" if math.isnan(efpr) else f"a negative eFPR {efpr}"
+                raise ValueError(f"op '{ops[0]}': class '{c}' has {problem}")
             # tuple.__new__ makes each OpPoint without NamedTuple's Python-level __new__
             points = zip(repeat(efpr), repeat(tp_ratio), ops)
             columns[c].extend(map(tuple.__new__, repeat(OpPoint), points))

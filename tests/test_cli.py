@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +278,57 @@ class TestPsds:
         )
         assert code == 0
         assert json.loads(out)["params"]["clamp_etpr"] is False
+
+
+def _os_error(code: int, path) -> str:
+    return f"sedscore: error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+
+
+class TestSweepTables:
+    """How a sweep lists its tables and names a table that fails to read or parse."""
+
+    def psds_error(self, workspace, capsys, det_dir) -> str:
+        code = main(["psds", *map(str, common(workspace)), "--det-dir", str(det_dir)])
+        assert code == 1
+        return capsys.readouterr().err
+
+    def test_sub_directory_named_as_a_table_exits_1_naming_it(self, workspace, capsys, monkeypatch):
+        (workspace / "ops" / "x.tsv").mkdir()
+        monkeypatch.chdir(workspace)
+        err = self.psds_error(workspace, capsys, "ops")
+        assert err == _os_error(errno.EISDIR, Path("ops", "x.tsv"))
+
+    def test_dangling_symlink_exits_1_naming_it(self, workspace, capsys, monkeypatch):
+        (workspace / "ops" / "x.tsv").symlink_to(workspace / "nowhere.tsv")
+        monkeypatch.chdir(workspace)
+        err = self.psds_error(workspace, capsys, "ops")
+        assert err == _os_error(errno.ENOENT, Path("ops", "x.tsv"))
+
+    def test_unreadable_table_exits_1_naming_it(self, workspace, capsys, monkeypatch):
+        table = workspace / "ops" / "x.tsv"
+        table.write_text(HEADER + "\n", encoding="utf-8")
+        table.chmod(0)
+        if os.access(table, os.R_OK):  # a superuser reads it: fail its open as for anyone else
+            open_file = os.open
+
+            def refusing_open(path, *args, **kwargs):
+                if os.path.basename(path) == "x.tsv":
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return open_file(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refusing_open)
+        monkeypatch.chdir(workspace)
+        err = self.psds_error(workspace, capsys, "ops")
+        assert err == _os_error(errno.EACCES, Path("ops", "x.tsv"))
+
+    def test_current_directory_names_a_table_by_its_bare_name(self, workspace, capsys, monkeypatch):
+        (workspace / "ops" / "x.tsv").write_text("not a header\n", encoding="utf-8")
+        monkeypatch.chdir(workspace / "ops")
+        err = self.psds_error(workspace, capsys, ".")
+        assert err == f"sedscore: error: x.tsv:1: expected header '{HEADER}'\n"
+
+    def test_absolute_directory_names_a_table_by_its_absolute_path(self, workspace, capsys):
+        (workspace / "ops" / "x.tsv").write_text("not a header\n", encoding="utf-8")
+        ops = (workspace / "ops").absolute()
+        err = self.psds_error(workspace, capsys, ops)
+        assert err == f"sedscore: error: {ops / 'x.tsv'}:1: expected header '{HEADER}'\n"

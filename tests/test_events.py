@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -93,6 +95,62 @@ class TestEventInvariants:
             ev(onset, offset, file_id="clip_7", label="siren")
         assert "'clip_7'" in str(err.value)
         assert "'siren'" in str(err.value)
+
+
+class TestEventValue:
+    """``Event``'s own constructor keeps what a generated frozen dataclass gives."""
+
+    def test_keyword_construction(self):
+        e = Event(file_id="f1", onset=1.0, offset=2.0, class_label="dog")
+        assert (e.file_id, e.onset, e.offset, e.class_label) == ("f1", 1.0, 2.0, "dog")
+        assert e == ev(1.0, 2.0)
+
+    def test_replace_checks_the_invariants_again(self):
+        e = ev(1.0, 2.0)
+        assert dataclasses.replace(e, offset=3.0) == ev(1.0, 3.0)
+        with pytest.raises(NonPositiveDuration):
+            dataclasses.replace(e, offset=0.5)
+        with pytest.raises(NegativeOnset):
+            dataclasses.replace(e, onset=-1.0)
+
+    @pytest.mark.parametrize("field", ["file_id", "onset", "offset", "class_label"])
+    def test_fields_cannot_be_assigned(self, field):
+        e = ev(1.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, field, getattr(e, field))
+
+    def test_equality_hash_and_repr(self):
+        e = ev(1.0, 2.0)
+        assert e == ev(1.0, 2.0) and e != ev(1.0, 2.5) and e != ev(1.0, 2.0, label="cat")
+        assert hash(e) == hash(("f1", 1.0, 2.0, "dog"))
+        assert repr(e) == "Event(file_id='f1', onset=1.0, offset=2.0, class_label='dog')"
+        assert [f.name for f in dataclasses.fields(Event)] == [
+            "file_id",
+            "onset",
+            "offset",
+            "class_label",
+        ]
+
+    def test_pickle_round_trip(self):
+        e = ev(1.0, 2.0)
+        assert pickle.loads(pickle.dumps(e)) == e
+
+    @pytest.mark.parametrize(
+        "onset, offset, error, message",
+        [
+            (-1.0, 2.0, NegativeOnset, "onset -1.0 of 'siren' in 'clip_7' is negative"),
+            (
+                3.0,
+                3.0,
+                NonPositiveDuration,
+                "event 'siren' [3.0, 3.0] in 'clip_7' has non-positive duration",
+            ),
+        ],
+    )
+    def test_messages(self, onset, offset, error, message):
+        with pytest.raises(error) as err:
+            ev(onset, offset, file_id="clip_7", label="siren")
+        assert str(err.value) == message
 
 
 class TestValidateEvents:

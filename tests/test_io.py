@@ -330,6 +330,26 @@ class TestSweep:
         counts = sweep_operating_points(ops, dataset, default_params())
         assert list(counts) == ["op_0.0", "op_0.1", "op_0.2"]
 
+    def test_tables_are_listed_as_a_glob_lists_them(self, tmp_path):
+        # hidden tables too; "*.tsv" ignores case where file names have none
+        dataset, ops = self.setup_sweep(tmp_path, n_ops=1)
+        for name in (".tsv", ".h.tsv", "upper.TSV"):
+            write_detections(ops / name, [("f1", 0.0, 10.0, "dog")])
+        counts = sweep_operating_points(ops, dataset, default_params())
+        assert list(counts) == [p.stem for p in sorted(ops.glob("*.tsv"), key=lambda p: p.name)]
+        assert list(counts)[:3] == [".h", ".tsv", "op_0.0"]
+
+    def test_empty_table_is_a_malformed_header(self, tmp_path):
+        dataset, ops = self.setup_sweep(tmp_path, n_ops=1)
+        (ops / "x.tsv").write_bytes(b"")
+        expected = f"{ops / 'x.tsv'}:1: expected header '{HEADER}'"
+        with pytest.raises(MalformedHeader) as exc:
+            sweep_operating_points(ops, dataset, default_params())
+        assert str(exc.value) == expected
+        with pytest.raises(MalformedHeader) as exc:
+            load_detections(ops / "x.tsv", dataset)
+        assert str(exc.value) == expected
+
     def test_identity_op_scores_perfectly(self, tmp_path):
         dataset, ops = self.setup_sweep(tmp_path, n_ops=1)
         counts = sweep_operating_points(ops, dataset, default_params())

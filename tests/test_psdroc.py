@@ -273,6 +273,24 @@ class TestPsdRocFromRates:
         with pytest.raises(ValueError, match=f"^op '{nan_op}': class 'a' has a NaN eFPR$"):
             psd_roc_from_rates(rates_by_op, EvalParams())
 
+    @pytest.mark.parametrize("efpr", [-5.0, -math.inf])
+    @pytest.mark.parametrize("bad_op, other_op", [("op1", "op2"), ("op2", "op1")])
+    def test_negative_efpr_rejected_whatever_the_op_order(self, efpr, bad_op, other_op):
+        # accepted, the (-5, 1.0) point held the curve at 1.0 from eFPR 0 on: PSDS 1.0
+        rates_by_op = {
+            bad_op: {"a": self.rates(1.0, efpr), "b": self.rates(0.5, 10.0)},
+            other_op: {"a": self.rates(0.2, 5.0), "b": self.rates(0.8, 20.0)},
+        }
+        match = f"^op '{bad_op}': class 'a' has a negative eFPR {efpr}$"
+        with pytest.raises(ValueError, match=match):
+            psd_roc_from_rates(rates_by_op, EvalParams())
+
+    def test_negative_zero_efpr_is_valid(self):
+        rates_by_op = {"op1": {"a": self.rates(1.0, -0.0)}, "op2": {"a": self.rates(0.2, 5.0)}}
+        roc = psd_roc_from_rates(rates_by_op, EvalParams())
+        assert roc.psds == 1.0
+        assert math.copysign(1.0, roc.op_points["a"][0].efpr) == -1.0
+
     def test_inconsistent_class_sets_rejected(self):
         rates_by_op = {
             "x": {"a": self.rates(0.5, 1.0)},

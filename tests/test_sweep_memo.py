@@ -5,16 +5,18 @@ appeared in the previous table or earlier in the same table. Whatever the
 tables look like, the sweep must give, table by table, what
 ``count_matrix(load_detections(path, ...))`` gives. The tables are drawn
 from one candidate list, nested or not, with repeated rows, CRLF line ends,
-header-only tables and tables byte-identical to the one before them;
-candidates include rows that differ from another in one field only, and
+byte-order marks, header-only tables and tables byte-identical to the one
+before them or differing from it only in a byte-order mark; candidates
+include rows that differ from another in one field only, and
 ``split_instances`` puts a ground truth's GTC verdict on a tie that only
 summation in detection order reproduces. In the ``edited`` shape each
 table deletes, inserts and repeats a few rows of the previous one, so the
 sweep steps the previous table's tally; its tie falls on a table that
 gained a piece of the whole ground truth. A table byte-identical to the
-previous one shares that table's counts object. Once a table reuses fewer
-than one row in ten, the rest of the sweep is scored without lookups; the
-unit tests below pin where that happens, and when a table is stepped.
+previous one, and only such a table, shares that table's counts object.
+Once a table reuses fewer than one row in ten, the rest of the sweep is
+scored without lookups; the unit tests below pin where that happens, and
+when a table is stepped.
 """
 
 from __future__ import annotations
@@ -104,8 +106,10 @@ def sweeps(draw):
     """A split instance and its sweep: ``(gt_rows, tables, layouts, whole, target, tie)``.
 
     ``tables`` maps a file name to the table's rows, in row order, and
-    ``layouts`` maps it to the table's line end and whether the last row
-    ends with one. Some tables repeat the previous table byte for byte.
+    ``layouts`` maps it to the table's line end, whether the last row ends
+    with one and whether the table opens with a byte-order mark. Some
+    tables repeat the previous table byte for byte, and some repeat it
+    but for a byte-order mark.
     ``tie`` names the table whose row order sets a GTC tie, or is None
     for the largest table. In the ``edited`` shape it is a table that
     gained a piece of the whole ground truth, often between two pieces
@@ -148,6 +152,9 @@ def sweeps(draw):
         if k and draw(st.integers(0, 3)) == 0:  # the previous table, byte for byte
             previous = f"op_{k - 1:02d}.tsv"
             tables[name], layouts[name] = tables[previous], layouts[previous]
+            if draw(st.integers(0, 2)) == 0:  # but for a byte-order mark
+                newline, line_end, bom = layouts[previous]
+                layouts[name] = (newline, line_end, not bom)
             continue
         if shape != "edited":
             rows = list(draw(st.permutations(rows)))
@@ -156,12 +163,14 @@ def sweeps(draw):
         if draw(st.integers(0, 5)) == 0:  # header only
             rows = []
         tables[name] = rows
-        layouts[name] = (draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()))
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        layouts[name] = (newline, draw(st.booleans()), draw(st.integers(0, 3)) == 0)
     return gt_rows, tables, layouts, whole, target, tie
 
 
-def _table_text(rows, newline="\n", line_end=True) -> str:
+def _table_text(rows, newline="\n", line_end=True, bom=False) -> str:
     text = newline.join([HEADER, *rows])
+    text = "\ufeff" + text if bom else text
     return text + newline if line_end else text
 
 
@@ -376,11 +385,19 @@ def test_a_byte_identical_table_shares_the_previous_tables_counts(tmp_path, monk
     assert len(seen) == (2 if prefix else 0)
 
 
-@pytest.mark.parametrize("layout", [("\r\n", True), ("\n", False)], ids=["crlf", "no-last-newline"])
+# ROWS in other bytes than _table_text(ROWS); a byte-order mark leaves the decoded text alone
+OTHER_BYTES = {
+    "crlf": _table_text(ROWS, "\r\n"),
+    "no-last-newline": _table_text(ROWS, "\n", False),
+    "byte-order mark": _table_text(ROWS, bom=True),
+}
+
+
+@pytest.mark.parametrize("other", list(OTHER_BYTES))
 @pytest.mark.parametrize("phase", sorted(PHASES))
-def test_the_same_rows_in_other_bytes_are_scored_again(tmp_path, monkeypatch, phase, layout):
+def test_the_same_rows_in_other_bytes_are_scored_again(tmp_path, monkeypatch, phase, other):
     prefix = list(map(_table_text, PHASES[phase]))
-    texts = [*prefix, _table_text(ROWS), _table_text(ROWS, *layout)]
+    texts = [*prefix, _table_text(ROWS), OTHER_BYTES[other]]
     swept, seen = _sweep_texts(tmp_path, monkeypatch, texts)
     before, after = list(swept.values())[-2:]
     assert after == before

@@ -108,13 +108,14 @@ def values(draw, pool):
     return value
 
 
-def class_rates(draw, pool, classes):
+def class_rates(draw, pool, classes, efprs):
+    """Drawn rates of each class: eFPRs from ``efprs``, the other rates from ``pool``."""
     return {
         c: ClassRates(
             tp_ratio=draw(values(pool)),
             fp_rate=draw(values(pool)),
             ct_rates={other: draw(values(pool)) for other in classes if other != c},
-            efpr=draw(values(pool)),
+            efpr=draw(values(efprs)),
         )
         for c in draw(st.permutations(classes))
     }
@@ -146,6 +147,8 @@ def reports(draw):
     # op ids in a drawn order, so that mapping order and op-id order differ
     ops = draw(st.permutations([f"op{k:02d}" for k in range(draw(st.integers(1, 8)))]))
     rates_by_op = {}
+    # a PSD-ROC rejects a negative eFPR; -0.0 stays
+    efprs = [-v if v < 0 else v for v in pool]
     for op in ops:
         share = draw(st.integers(0, 2)) if rates_by_op else 0
         if share == 1:  # the rates object of the op before it, as identical tables share
@@ -153,7 +156,7 @@ def reports(draw):
         elif share == 2:  # that of any earlier op
             rates_by_op[op] = rates_by_op[draw(st.sampled_from(sorted(rates_by_op)))]
         else:
-            rates_by_op[op] = class_rates(draw, pool, classes)
+            rates_by_op[op] = class_rates(draw, pool, classes, efprs)
     roc = psd_roc_from_rates(rates_by_op, params, clamp=draw(st.booleans()))
     f1 = F1Report(
         per_class={c: draw(values(pool)) for c in classes},
@@ -162,7 +165,7 @@ def reports(draw):
     )
     collar = draw(st.sampled_from([None, CollarParams(collar=0.2)]))
     return [
-        build_counts_report(counts, class_rates(draw, pool, classes), dataset, params),
+        build_counts_report(counts, class_rates(draw, pool, classes, pool), dataset, params),
         build_f1_report(counts, f1, dataset, params, collar=collar),
         build_psds_report(roc, dataset, params),
         build_psds_report(roc, dataset, params, include_psds=False),
