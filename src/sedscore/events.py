@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -120,8 +121,7 @@ def _left_sum(values: Iterable[float]) -> float:
 
     Builtin ``sum`` does exactly this up to Python 3.11. From 3.12 it
     compensates the rounding of float sums, so its last digits, and with
-    them a threshold verdict at a near-tie, would depend on the Python
-    version.
+    them the bytes of a report, would depend on the Python version.
     """
     return reduce(add, values, 0.0)
 
@@ -372,6 +372,25 @@ class Dataset:
     @property
     def classes(self) -> tuple[str, ...]:
         return self.ground_truth.class_labels
+
+    @cached_property
+    def _reach(self) -> float:
+        """The longest file's duration, which no ground-truth endpoint exceeds.
+
+        It is never below the smallest normal float, so half an ulp of any
+        endpoint, a subnormal one included, is at most ``2**-53`` of it:
+        matching derives its near-tie band from it (``matching._at_least``).
+        """
+        return max(*self.file_durations.values(), sys.float_info.min)
+
+    @cached_property
+    def _gtc_bounds(self) -> dict[float, list[float]]:
+        """GTC threshold -> ``threshold * duration`` of each ground truth, in input order.
+
+        Filled by matching on the first tally under each threshold, never by
+        a loader.
+        """
+        return {}
 
     @cached_property
     def class_durations(self) -> Mapping[str, float]:

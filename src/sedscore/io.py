@@ -5,9 +5,11 @@ values with a mandatory header, one event per row, decimal seconds. The
 loaders skip a leading byte-order mark, which spreadsheet exports often
 carry, and report a byte that is not UTF-8 as a parse error naming its
 line. Lines end at ``\n``, with one ``\r`` before it dropped, so line
-numbers are the file's own. ``load_dataset`` and ``load_detections`` turn
-each row into a validated event in one pass, so of several faulty rows
-the first is reported. Every table is read by one ``os.read`` sized by
+numbers are the file's own. A number cell is a plain decimal: one with an
+underscore or a non-ASCII character, which ``float`` would read, is not a
+number. ``load_dataset`` and ``load_detections`` turn each row into a
+validated event in one pass, so of several faulty rows the first is
+reported. Every table is read by one ``os.read`` sized by
 the file's size. A sweep is a directory with one detection table per
 operating point, listed by one directory scan and taken in name order;
 the file stem names the operating point. A table whose bytes, compared
@@ -16,10 +18,10 @@ table's counts. Tables often nest, so a row whose exact text appeared in
 the previous table, or earlier in the same one, reuses that row's match
 record instead of being parsed, validated and matched again, until a
 table reuses too few rows to pay for the lookups. While it does, a table
-that differs from the previous one in a few rows, with the other rows in
-the same order, gets its counts by stepping the previous table's tally
-by the rows that left and came. Parsing is strict and fail-fast so a
-half-read sweep can never silently skew a score.
+that differs from the previous one in a few rows, in any order, gets its
+counts by stepping the previous table's tally by the rows that left and
+came. Parsing is strict and fail-fast so a half-read sweep can never
+silently skew a score.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import json
 import math
 import os
 from collections import Counter
-from itertools import compress, count, filterfalse, islice
-from operator import ne
+from itertools import count, filterfalse
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -68,7 +69,15 @@ class TableRow(NamedTuple):
     line: int
 
 
-def _parse_number(raw: str, what: str, line: int, name: str) -> float:
+def _parse_number(raw: str, what: str, line: int, name: str, ascii: bool) -> float:
+    """The finite float a number cell holds.
+
+    ``float`` also takes digit-group underscores and non-ASCII digits, so
+    ``1_0`` would read 10.0 and ``١٢`` 12.0; such a cell is not a number.
+    ``ascii`` says the whole table is ASCII, so no cell needs that check.
+    """
+    if "_" in raw or not (ascii or raw.isascii()):
+        raise BadRow(f"{name}:{line}: {what} '{raw}' is not a number")
     try:
         value = float(raw)
     except ValueError:
@@ -165,13 +174,14 @@ def _rows(
 
 
 def _event_rows(
-    numbered: Iterable[tuple[int, str]], name: str
+    numbered: Iterable[tuple[int, str]], name: str, ascii: bool
 ) -> Iterator[tuple[str, float, float, str, int]]:
     """Yield ``(filename, onset, offset, label, line)`` for each numbered line of an event table.
 
     The row rules of an event table: a label that is not empty and has no
     leading or trailing whitespace, which would otherwise silently make it
-    a class of its own, and a finite onset and offset.
+    a class of its own, and a finite onset and offset. ``ascii`` says
+    whether the table's text is ASCII (:func:`_parse_number`).
     """
     for lineno, (filename, onset_raw, offset_raw, label) in _rows(numbered, EVENT_HEADER, name):
         if not label:
@@ -180,8 +190,8 @@ def _event_rows(
             raise BadRow(
                 f"{name}:{lineno}: event_label {label!r} has leading or trailing whitespace"
             )
-        onset = _parse_number(onset_raw, "onset", lineno, name)
-        offset = _parse_number(offset_raw, "offset", lineno, name)
+        onset = _parse_number(onset_raw, "onset", lineno, name, ascii)
+        offset = _parse_number(offset_raw, "offset", lineno, name, ascii)
         yield filename, onset, offset, label, lineno
 
 
@@ -189,10 +199,11 @@ def _text_durations(text: str, source: str) -> dict[str, float]:
     """The filename -> seconds map of a durations table's text."""
     durations: dict[str, float] = {}
     numbered = enumerate(_lines(text, DURATIONS_HEADER, source), 2)
+    ascii = text.isascii()
     for lineno, (filename, dur_raw) in _rows(numbered, DURATIONS_HEADER, source):
         if filename in durations:
             raise BadRow(f"{source}:{lineno}: duplicate filename '{filename}'")
-        duration = _parse_number(dur_raw, "duration", lineno, source)
+        duration = _parse_number(dur_raw, "duration", lineno, source, ascii)
         if not duration > 0:
             raise BadRow(f"{source}:{lineno}: duration must be > 0, got {dur_raw}")
         durations[filename] = duration
@@ -214,7 +225,7 @@ def load_event_table(path: str | Path) -> list[TableRow]:
     which read and validate in one pass, are preferred.
     """
     text, source = _table_text(path)
-    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source)
+    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source, text.isascii())
     return list(map(TableRow._make, rows))
 
 
@@ -235,7 +246,7 @@ def _text_events(
     allowed: frozenset[str] | None,
 ) -> EventSet:
     """The validated events of an event table's text."""
-    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source)
+    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source, text.isascii())
     return EventSet(tuple(_validated(rows, file_durations, allowed, source)))
 
 
@@ -255,14 +266,14 @@ def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
 # A table is stepped from the previous table's tally when the lines that
 # left and came, one per occurrence, are at most this share of its lines,
 # and tallied from scratch otherwise. Timed on Python 3.11 (2 vCPUs), on a
-# table of the benchmark's dcase-val and long-file corpora with a random
-# share of its lines deleted, a step costs about 0.2 us per line of the
-# table plus 2.4-2.9 us per line that left or came, and a tally from
-# scratch 0.85-1.0 us per line: they break even at a share of 0.25-0.30.
-# The first step after a tally from scratch also indexes which lines cover
-# each ground truth, and repeated lines make the difference dearer to
-# find, so the share is set below that.
-_STEP_SHARE = 0.2
+# table of the benchmark's dcase-val (seeds 3 and 7) and long-file (seed
+# 7) corpora with a random 5-40% of its lines taken out and put back, a
+# step costs 0.52-0.75 us per line that left or came and a tally from
+# scratch 0.45-0.63 us per line, so they break even at a share of about
+# 0.8. Whole sweeps of those corpora were 1-3% faster (best of 16) with a
+# share of 0.35-0.7 than with 0.2, and fine-sweep's no different. The
+# share is set well below the break-even.
+_STEP_SHARE = 0.5
 
 
 def _first_appearances(lines: list[str], rows: list[str]) -> Iterable[tuple[int, str]]:
@@ -281,56 +292,60 @@ def _first_appearances(lines: list[str], rows: list[str]) -> Iterable[tuple[int,
     return zip(numbers, rows)
 
 
-def _common_head(a: Iterable[str], b: Iterable[str], most: int) -> int:
-    """How many leading pairs of ``a`` and ``b``, of the first ``most``, are equal."""
-    return next(compress(count(), map(ne, islice(a, most), b)), most)
+def _changed_rows(
+    before: Mapping[str, object], after: Mapping[str, object]
+) -> tuple[list[str], list[str]]:
+    """The rows of ``before`` that ``after`` lacks, and those of ``after`` that ``before`` lacks.
+
+    The second come in the order of ``after``. Each takes one scan of a
+    table, but the sizes say how many rows stayed: in a table that only
+    shrank or only grew, as the tables of a sweep do, one of the two is
+    seen to be empty without its scan.
+    """
+    if len(after) < len(before):
+        gone = list(filterfalse(after.__contains__, before))
+        stayed = len(before) - len(gone)
+        fresh = list(filterfalse(before.__contains__, after)) if len(after) > stayed else []
+    else:
+        fresh = list(filterfalse(before.__contains__, after))
+        stayed = len(after) - len(fresh)
+        gone = list(filterfalse(after.__contains__, before)) if len(before) > stayed else []
+    return gone, fresh
+
+
+def _repeated(counts: Counter, n_lines: int, candidates: Iterable[str]) -> list[str]:
+    """The rows that ``counts``, a count of ``n_lines`` lines, counts more than once.
+
+    They are looked for among ``candidates`` first: the previous table's
+    repeated rows and this table's fresh ones hold them all, unless a row
+    that stayed gained an occurrence, and then every row is looked at.
+    """
+    extra = n_lines - len(counts)
+    if not extra:
+        return []
+    found = [row for row in dict.fromkeys(candidates) if counts.get(row, 0) > 1]
+    if sum(counts[row] for row in found) - len(found) == extra:
+        return found
+    return [row for row, n in counts.items() if n > 1]
 
 
 def _difference(
-    before: list[str], after: list[str], n_distinct: int, gone: list[str], fresh: list[str]
-) -> tuple[list[str], list[str]] | None:
-    """The rows that left and came from one table's lines to the next's, or None.
+    before: Counter, after: Counter, rows: Iterable[str]
+) -> tuple[list[str], list[str]]:
+    """The rows that left and came from one table to the next, one per occurrence.
 
-    ``gone`` are the distinct rows of ``before`` that ``after`` lacks,
-    ``fresh`` those of ``after`` that ``before`` lacks, and ``n_distinct``
-    counts the distinct rows of ``after``. A row is listed once per
-    occurrence that left or came, so a repeated row that lost or gained
-    occurrences is listed that many times. None means ``after`` is to be
-    tallied from scratch: the rows that stayed changed order, or the
-    difference is more than :data:`_STEP_SHARE` of the table.
+    ``before`` and ``after`` count the lines of the two tables, and
+    ``rows`` holds every row whose count differs between them.
     """
-    if len(gone) + len(fresh) > _STEP_SHARE * len(after):
-        return None
-    left, came = set(gone), set(fresh)
-    kept_before = list(filterfalse(left.__contains__, before)) if left else before
-    kept_after = list(filterfalse(came.__contains__, after)) if came else after
-    left_rows, came_rows = gone, fresh
-    if len(before) - len(kept_before) > len(gone):  # a row that left was repeated
-        left_rows = list(filter(left.__contains__, before))
-    if len(after) - len(kept_after) > len(fresh):
-        came_rows = list(filter(came.__contains__, after))
-    if kept_before != kept_after:
-        if len(kept_before) == len(kept_after) == n_distinct - len(fresh):
-            return None  # neither table repeats a kept row, so the kept rows changed order
-        # a repeated row may have lost or gained occurrences, which lie
-        # between the longest common head and tail of the kept rows
-        most = min(len(kept_before), len(kept_after))
-        head = _common_head(kept_before, kept_after, most)
-        tail = _common_head(reversed(kept_before), reversed(kept_after), most - head)
-        rest_before = kept_before[head : len(kept_before) - tail]
-        rest_after = kept_after[head : len(kept_after) - tail]
-        lost = Counter(rest_before)
-        lost.subtract(rest_after)
-        recounted = {row for row, n in lost.items() if n}
-        if not recounted or list(filterfalse(recounted.__contains__, rest_before)) != list(
-            filterfalse(recounted.__contains__, rest_after)
-        ):
-            return None
-        left_rows = [*left_rows, *(+lost).elements()]
-        came_rows = [*came_rows, *(-lost).elements()]
-    if len(left_rows) + len(came_rows) > _STEP_SHARE * len(after):
-        return None
-    return left_rows, came_rows
+    left: list[str] = []
+    came: list[str] = []
+    for row in dict.fromkeys(rows):
+        n = before.get(row, 0) - after.get(row, 0)
+        if n > 0:
+            left += [row] * n
+        elif n < 0:
+            came += [row] * -n
+    return left, came
 
 
 def sweep_operating_points(
@@ -361,11 +376,11 @@ def sweep_operating_points(
 
     While lines are looked up, the previous table's tally is kept. A table
     whose lines that left and came since the previous table, counted once
-    per occurrence, are at most :data:`_STEP_SHARE` of its lines, and
-    whose other lines keep their order, steps that tally by the records of
-    those lines (:meth:`matching._Tally.step`). Any other table is tallied
-    from scratch. Either way its counts are those of ``count_matrix``, GTC
-    sums included, which are taken in the table's own line order.
+    per occurrence, are at most :data:`_STEP_SHARE` of its lines steps
+    that tally by the records of those lines (:meth:`matching._Tally.step`),
+    whatever the order of its lines. Any other table is tallied from
+    scratch. Either way its counts are those of ``count_matrix``: every
+    verdict is exact, so it does not depend on the order of the lines.
     """
     det_dir = Path(det_dir)
     if not det_dir.is_dir():
@@ -383,7 +398,10 @@ def sweep_operating_points(
     # scored; None once the tables stop repeating lines
     known: dict[str, _Verdict] | None = {}
     previous = None  # the previous table's bytes
-    held: list[str] = []  # the previous table's lines, whose counts ``tally`` holds
+    # the count of each line of the previous table, whose counts ``tally``
+    # holds, and the lines it repeats
+    held: Counter = Counter()
+    held_repeats: list[str] = []
     for name, path in tables:
         op = name[:-4] or name  # the file stem: ".tsv" names op ".tsv"
         try:
@@ -403,24 +421,31 @@ def sweep_operating_points(
             continue
         compared = bool(known)  # false for the first table and after an empty one
         lines = _lines(text, EVENT_HEADER, source)
-        distinct = dict.fromkeys(lines)
-        fresh = list(filterfalse(known.__contains__, distinct))
-        rows = _event_rows(_first_appearances(lines, fresh), source)
+        distinct = Counter(lines)  # in the order of first appearance
+        gone, fresh = _changed_rows(known, distinct)
+        rows = _event_rows(_first_appearances(lines, fresh), source, text.isascii())
         events = _validated(rows, dataset.file_durations, allowed, source)
         known.update(zip(fresh, _verdicts(events, dataset, params)))
-        gone = list(filterfalse(distinct.__contains__, known))
-        difference = _difference(held, lines, len(distinct), gone, fresh) if compared else None
-        if difference is None:
-            tally = _Tally(list(map(known.__getitem__, lines)), dataset, params)
+        repeats = _repeated(distinct, len(lines), [*held_repeats, *fresh])
+        # the rows that left and came, one per occurrence, are at least the distinct ones
+        most = _STEP_SHARE * len(lines)
+        step = compared and len(gone) + len(fresh) <= most
+        if step:
+            left, came = gone, fresh
+            if repeats or held_repeats:
+                left, came = _difference(held, distinct, [*gone, *fresh, *held_repeats, *repeats])
+            step = len(left) + len(came) <= most
+        if step:
+            tally.step([known[row] for row in left], [known[row] for row in came])
         else:
-            tally.step(*difference, held, lines, known)
+            tally = _Tally(map(known.__getitem__, lines), dataset, params)
         counts[op] = matrix = tally.counts()
         if compared and 10 * (len(lines) - len(fresh)) < len(lines):
             known = None
         else:
             for line in gone:
                 del known[line]
-            held = lines
+            held, held_repeats = distinct, repeats
     return counts
 
 

@@ -9,12 +9,16 @@ positives; each of them is additionally checked against every other class
 and counted as a cross-trigger wherever its overlap fraction reaches the
 cross-trigger tolerance.
 
-All thresholds compare with inclusive ``>=``, and coverage sums are literal
-sums of pairwise overlaps (overlapping labels of one class are counted once
-per label). True positives count ground truths while false positives count
-detections, so one detection spanning k ground truths can yield k true
-positives, and k split detections covering one ground truth yield at most
-one.
+All thresholds compare with inclusive ``>=``, as ``covered >= threshold *
+duration``, and coverage sums are literal sums of pairwise overlaps
+(overlapping labels of one class are counted once per label). Every
+tolerance, the collar's included, is decided by one check,
+:func:`_at_least`: in floats, and within a proven near-tie band again in
+exact decimal arithmetic, so that it holds of the numbers as written and
+no verdict depends on the order of a sum. True positives count ground
+truths while false positives count detections, so one detection spanning
+k ground truths can yield k true positives, and k split detections
+covering one ground truth yield at most one.
 
 Every overlap comes from one kernel, :meth:`OnsetIndex.overlaps`: the
 events of each file sorted by onset, with a running maximum of offsets, so
@@ -26,22 +30,23 @@ record: its own-class overlaps decide its DTC verdict; a relevant
 detection keeps them, and a false positive keeps the classes its overlaps,
 folded by class, cross-trigger. A record depends only on the detection,
 the dataset and the params, so a sweep can reuse it for a repeated row.
-The tally of a table's records, in detection order, gives its counts:
-GTC sums, for each touched ground truth, the overlaps of the relevant
-detections in that order, with no second index. A sweep keeps the tally
-of one table and steps it to the next by the records of the rows that
-left and came: integer counts change exactly, and each ground truth that
-a changed row covers is summed again over the new table's rows, in their
-order, so a stepped table's counts are the ones its own tally gives. The
-collar baseline indexes each class's ground truth the same way and makes
-one pass over the detections, bisecting for onsets within the collar.
+The tally of a table's records gives its counts: GTC sums, for each
+touched ground truth, the overlaps of the relevant detections, with no
+second index. A sweep keeps the tally of one table and steps it to the
+next by the records of the rows that left and came: integer counts change
+exactly, and each ground truth that a changed row covers is decided again
+on the records that cover it in the new table, so a stepped table's counts
+are the ones its own tally gives. The collar baseline indexes each class's
+ground truth the same way and makes one pass over the detections,
+bisecting for onsets within the collar.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import sys
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownClassLabel
 from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex
@@ -94,27 +99,117 @@ class CountsMatrix:
         return sum(self.n_gt[c] for c in self.classes)
 
 
+# Twice the bound on the rounding of one tolerance check, per unit of
+# (terms + 2) * (value + reach): see _at_least.
+_BAND = 2.0**-50
+
+
+def _at_least(value: float, bound: float, terms: int, reach: float) -> bool | None:
+    """Whether ``value >= bound`` holds of the decimals the floats were read from, or None.
+
+    The one tolerance check. ``value`` is a coverage sum of at most
+    ``terms`` overlaps, or a collar tolerance (``terms`` 0), and ``bound``
+    is ``threshold * duration``, or a collar distance; both are computed in
+    floats. ``reach`` bounds every endpoint and tolerance the check reads,
+    and a collar's offset ratio times every endpoint, and is at least the
+    smallest normal float; a threshold is at most 1. Outside a band around
+    the tie the float comparison gives the exact verdict. Inside it the
+    answer is None, and the caller decides in exact decimal arithmetic,
+    each float ``x`` read as :func:`_decimal`, the shortest decimal that
+    rounds to it (:func:`_covers`, :func:`_within_collar`). So a verdict
+    holds ``>=`` of the numbers as written, and does not depend on the
+    order of a sum.
+
+    The band. Reading each float as its shortest decimal keeps the order
+    of any two floats, so the same events overlap in both arithmetics, and
+    the same endpoints bound each overlap. Let ``u = 2**-53``,
+    ``R = reach``, ``n = terms`` and ``c`` the float ``value``; every error
+    below is measured against the exact decimals.
+    (1) An endpoint is off by at most half an ulp of itself, ``u*R``.
+    (2) An overlap is one float subtraction of two endpoints in ``[0, R]``,
+        whose rounding adds at most ``u*R``: with (1), each term is off by
+        ``3u*R``, and the ``n`` terms by ``3n*u*R``.
+    (3) ``n`` terms >= 0 with exact sum ``S``, added in any order, give a
+        float within ``(n - 1)u*S / (1 - (n - 1)u)`` of ``S`` (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2);
+        as ``(n - 1)u`` is below 0.01, that is below ``1.05n*u*c``.
+    (4) ``bound = threshold * duration``: the duration is off by ``3u*R``
+        as in (2), times a threshold of at most 1; the threshold by half an
+        ulp, ``u``, times a duration of at most ``R``; the product's
+        rounding adds ``u*R``: ``5u*R`` in all. A collar check compares a
+        tolerance that is off by ``5u*R`` the same way (``max(collar,
+        ratio * duration)``) with a distance off by ``3u*R``: ``8u*R``.
+    So the gap ``value - bound`` is off by at most
+    ``u*(3n*R + 1.05n*c + 8R) <= 4u*(n + 2)*(c + R)``. The band is twice
+    that, so the roundings of the band itself cannot take it below; and a
+    computed gap beyond the band is a true gap beyond it, as rounding is
+    monotone.
+    """
+    gap = value - bound
+    band = (terms + 2) * (value + reach) * _BAND
+    if gap > band:
+        return True
+    if gap < -band:
+        return False
+    return None
+
+
+# Unrounded decimal arithmetic: adding, subtracting or multiplying the
+# decimals of floats never needs this many digits, and an inexact result
+# would raise rather than round.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation])
+
+
+def _decimal(x: float) -> Decimal:
+    """The shortest decimal that rounds to ``x``: the number as written, for up to 15 digits."""
+    return Decimal(repr(float(x)))
+
+
+def _covers(x: Event, ys: Iterable[Event], threshold: float) -> bool:
+    """Whether same-file events ``ys`` cover ``threshold`` of ``x``, in exact decimals.
+
+    The near-tie verdict of :func:`_at_least` for DTC, GTC and CTTC: the
+    literal sum of the overlaps, at least ``threshold`` times the duration.
+    """
+    sub, add = _EXACT.subtract, _EXACT.add
+    onset, offset = _decimal(x.onset), _decimal(x.offset)
+    covered = Decimal(0)
+    for y in ys:
+        overlap = sub(min(offset, _decimal(y.offset)), max(onset, _decimal(y.onset)))
+        if overlap > 0:
+            covered = add(covered, overlap)
+    return covered >= _EXACT.multiply(_decimal(threshold), sub(offset, onset))
+
+
 def _cross_trigger(
     fp: Event,
-    class_label: str,
-    coverage: Mapping[str, float],
+    hits: list[tuple[int, float]],
+    gt: Sequence[Event],
     cttc_threshold: float,
     classes: Sequence[str],
+    reach: float,
 ) -> list[str]:
-    """The classes other than ``class_label`` that the false positive cross-triggers.
+    """The classes other than its own that the false positive ``fp`` cross-triggers.
 
-    ``coverage`` is the false positive's :func:`_class_sums`. With a zero
-    threshold every other class of ``classes`` counts, overlap or not;
-    otherwise only classes with coverage can reach the threshold.
+    ``hits`` are its :meth:`OnsetIndex.overlaps` hits in ``gt``, and
+    ``reach`` bounds their endpoints and its own. With a zero threshold
+    every other class of ``classes`` counts, overlap or not; otherwise
+    only classes with coverage can reach the threshold.
     """
+    label = fp.class_label
     if cttc_threshold == 0:
-        return [other for other in classes if other != class_label]
-    duration = fp.duration
-    return [
-        other
-        for other, covered in coverage.items()
-        if other != class_label and covered / duration >= cttc_threshold
-    ]
+        return [other for other in classes if other != label]
+    bound = cttc_threshold * (fp.offset - fp.onset)
+    crossed = []
+    for other, covered in _class_sums(gt, hits).items():
+        if other != label:
+            hit = _at_least(covered, bound, len(hits), reach)
+            if hit is None:
+                ys = (gt[i] for i, _ in hits if gt[i].class_label == other)
+                hit = _covers(fp, ys, cttc_threshold)
+            if hit:
+                crossed.append(other)
+    return crossed
 
 
 def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> dict[str, float]:
@@ -129,11 +224,12 @@ def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> d
     return sums
 
 
-# A detection's record: ``(label, own, crossed)``. ``own`` lists the
-# ``(ground-truth position, overlap)`` hits of its own class when it passes
-# DTC, and is None when it is a false positive; ``crossed`` lists the
-# classes a false positive cross-triggers, and is empty otherwise.
-_Verdict = tuple[str, list[tuple[int, float]] | None, Sequence[str]]
+# A detection's record: ``(label, own, rest)``. When the detection passes
+# DTC, ``own`` lists the ``(ground-truth position, overlap)`` hits of its
+# own class and ``rest`` is the detection itself, kept so that a GTC
+# near-tie can be summed again exactly. For a false positive ``own`` is
+# None and ``rest`` lists the classes it cross-triggers.
+_Verdict = tuple[str, list[tuple[int, float]] | None, Event | Sequence[str]]
 
 
 def _verdicts(
@@ -147,122 +243,131 @@ def _verdicts(
     gt = dataset.ground_truth.events
     overlaps = dataset.ground_truth.onset_index.overlaps
     classes = dataset.classes
+    longest = dataset._reach
     dtc, cttc = params.dtc_threshold, params.cttc_threshold
     for det in detections:
         c = det.class_label
         hits = overlaps(det)
         own = [(i, overlap) for i, overlap in hits if gt[i].class_label == c]
-        covered = 0.0  # left to right, as events._left_sum adds; inline in this hot loop
+        covered = 0.0  # inline in this hot loop
         for _, overlap in own:
             covered += overlap
-        if covered / (det.offset - det.onset) >= dtc:
-            yield c, own, ()
-        else:
-            # with no other class in reach, its coverage record is all its own class
-            coverage = _class_sums(gt, hits) if len(own) < len(hits) else {}
-            yield c, None, _cross_trigger(det, c, coverage, cttc, classes)
+        offset = det.offset
+        # the ground truths lie in their files; a detection built in code need not
+        reach = offset if offset > longest else longest
+        if own:
+            relevant = _at_least(covered, dtc * (offset - det.onset), len(own), reach)
+            if relevant is None:
+                relevant = _covers(det, (gt[i] for i, _ in own), dtc)
+        else:  # exactly 0 >= dtc * duration, as the duration is positive
+            relevant = not dtc
+        if relevant:
+            yield c, own, det
+        elif len(own) < len(hits) or not cttc:
+            yield c, None, _cross_trigger(det, hits, gt, cttc, classes, reach)
+        else:  # no other class in reach
+            yield c, None, ()
 
 
 class _Tally:
     """The counts of one table's records, kept so the next table's can be stepped from them.
 
     The state is the per-class ``n_sys``, ``n_fp``, ``n_tp`` and
-    cross-trigger counts, and each touched ground truth's GTC sum: the
-    overlaps of the relevant detections that cover it, added left to
-    right in table order. Integer counts step exactly, and a ground truth
-    that a changed row covers takes its sum again over the new table, in
-    its row order, so every count is the one a tally from scratch gives.
+    cross-trigger counts, the set of ground truths that pass GTC, and for
+    each touched ground truth the ``(overlap, detection)`` of each
+    relevant row that covers it. Every verdict is exact, whatever order a
+    sum is taken in, so integer counts step exactly, and a ground truth
+    that a changed row covers is decided again on the rows that cover it
+    in the new table.
     """
 
     def __init__(self, records: Iterable[_Verdict], dataset: Dataset, params: EvalParams) -> None:
-        """Tally the records of one table, taken in table order."""
+        """Tally the records of one table, one per row, in any order."""
         classes = dataset.classes
         self._classes = classes
         self._gt = dataset.ground_truth.events
-        self._gtc = params.gtc_threshold
+        self._gtc = gtc = params.gtc_threshold
         self._n_gt = _n_gt(dataset)
         self._n_sys = dict.fromkeys(classes, 0)
         self._n_fp = dict.fromkeys(classes, 0)
         self._ct = _no_cross_triggers(classes)
         # with a zero GTC every ground truth counts, touched or not
-        self._n_tp = dict.fromkeys(classes, 0) if self._gtc else dict(self._n_gt)
-        self._covered: dict[int, float] = {}  # ground-truth position -> GTC sum
-        self._add(records, 1, self._covered)
-        if self._gtc:
-            gt, n_tp = self._gt, self._n_tp
-            for i, total in self._covered.items():
-                if total / gt[i].duration >= self._gtc:
-                    n_tp[gt[i].class_label] += 1
-        # ground-truth position -> the rows that cover it; built on the first step
-        self._covering: defaultdict[int, list[Hashable]] | None = None
+        self._n_tp = dict.fromkeys(classes, 0) if gtc else dict(self._n_gt)
+        self._passed: set[int] = set()  # ground-truth positions that pass GTC
+        # ground-truth position -> (overlap, detection) of each relevant row covering it
+        self._covering: dict[int, list[tuple[float, Event]]] = {}
+        self._add(records, 1)
+        if gtc:
+            self._reach = dataset._reach
+            self._bounds = dataset._gtc_bounds.get(gtc)
+            if self._bounds is None:
+                self._bounds = [gtc * (ev.offset - ev.onset) for ev in self._gt]
+                dataset._gtc_bounds[gtc] = self._bounds
+            self._decide(self._covering)
 
-    def _add(self, records: Iterable[_Verdict], sign: int, covered: dict[int, float]) -> None:
-        """Add ``sign`` times the counts of each record, and its own overlaps to ``covered``.
+    def _add(self, records: Iterable[_Verdict], sign: int) -> None:
+        """Add ``sign`` times the counts of each record, a row of the table.
 
-        A relevant record's overlaps are added to the entries of the ground
-        truths it covers, left to right in the order the records come, as
-        they are: a step reads only which ground truths got an entry.
+        A relevant record's detection enters, or with a negative ``sign``
+        leaves, the covering list of each ground truth it covers.
         """
-        n_sys, n_fp, ct = self._n_sys, self._n_fp, self._ct
-        for c, own, crossed in records:
+        n_sys, n_fp, ct, covering = self._n_sys, self._n_fp, self._ct, self._covering
+        for c, own, rest in records:
             n_sys[c] += sign
             if own is None:
                 n_fp[c] += sign
                 counts = ct[c]
-                for other in crossed:
+                for other in rest:
                     counts[other] += sign
-            else:
+            elif sign > 0:
                 for i, overlap in own:
-                    covered[i] = covered.get(i, 0.0) + overlap
+                    entries = covering.get(i)
+                    if entries is None:
+                        covering[i] = [(overlap, rest)]
+                    else:
+                        entries.append((overlap, rest))
+            else:
+                for i, _ in own:
+                    entries = covering[i]
+                    for k, (_, det) in enumerate(entries):
+                        if det is rest:  # equal detections of other rows would compare fields
+                            del entries[k]
+                            break
 
-    def step(
-        self,
-        left: Sequence[Hashable],
-        came: Sequence[Hashable],
-        before: Sequence[Hashable],
-        after: Sequence[Hashable],
-        records: Mapping[Hashable, _Verdict],
-    ) -> None:
-        """Step the counts from the table of rows ``before`` to that of rows ``after``.
+    def _decide(self, touched: Iterable[int]) -> None:
+        """Decide GTC again for each of the ``touched`` ground truths, on the rows covering it."""
+        gt, gtc, bounds, reach = self._gt, self._gtc, self._bounds, self._reach
+        covering, passed, n_tp = self._covering, self._passed, self._n_tp
+        for i in touched:
+            entries = covering[i]
+            total = 0.0
+            for overlap, _ in entries:
+                total += overlap
+            hit = _at_least(total, bounds[i], len(entries), reach)
+            if hit is None:
+                hit = _covers(gt[i], (det for _, det in entries), gtc)
+            if hit and i not in passed:
+                passed.add(i)
+                n_tp[gt[i].class_label] += 1
+            elif not hit and i in passed:
+                passed.remove(i)
+                n_tp[gt[i].class_label] -= 1
 
-        ``left`` holds one entry per occurrence that left ``before`` and
-        ``came`` one per occurrence that came into ``after``. The rows
-        that stayed must keep their order, apart from the occurrences of
-        a row that is also in ``left`` or ``came``, so the sum of a ground
-        truth that no changed row covers stays as it is. ``records`` gives
-        the record of each row of either table.
+    def step(self, left: Sequence[_Verdict], came: Sequence[_Verdict]) -> None:
+        """Step the counts to a table that lacks the records ``left`` and adds ``came``.
+
+        Each holds one record per row that left or came, so a repeated row
+        that lost or gained occurrences is listed that many times. A ground
+        truth that a changed record covers is decided again on the rows
+        that now cover it, unless its exact coverage only shrank and it
+        failed, or only grew and it passed: neither can change its verdict.
         """
-        # the ground truths that a changed row covers, each summed again below
-        changed: dict[int, float] = {}
-        self._add(map(records.__getitem__, left), -1, changed)
-        self._add(map(records.__getitem__, came), 1, changed)
-        if not (changed and self._gtc):
-            return
-        covering = self._covering
-        if covering is None:
-            self._covering = covering = defaultdict(list)
-            for row in before:
-                for i, _ in records[row][1] or ():
-                    covering[i].append(row)
-        # the rows of ``after`` that cover a changed ground truth: a row that
-        # left and stays is still on the lists of the ground truths it covers
-        rows = {row for row in came if records[row][1] is not None}
-        for i in changed:
-            rows.update(covering.pop(i, ()))
-        sums: dict[int, float] = {}
-        for row in filter(rows.__contains__, after):
-            for i, overlap in records[row][1]:
-                if i in changed:
-                    covering[i].append(row)
-                    sums[i] = sums.get(i, 0.0) + overlap
-        gt, gtc, n_tp, covered = self._gt, self._gtc, self._n_tp, self._covered
-        for i in changed:
-            duration = gt[i].duration
-            passed = covered.pop(i, 0.0) / duration >= gtc
-            if i in sums:
-                covered[i] = sums[i]
-            if (sums.get(i, 0.0) / duration >= gtc) != passed:
-                n_tp[gt[i].class_label] += -1 if passed else 1
+        self._add(left, -1)
+        self._add(came, 1)
+        if self._gtc:
+            lost = {i for _, own, _ in left if own for i, _ in own}
+            gained = {i for _, own, _ in came if own for i, _ in own}
+            self._decide((lost & self._passed) | (gained - self._passed))
 
     def counts(self) -> CountsMatrix:
         """The counts of the table tallied last, in objects of their own."""
@@ -304,14 +409,28 @@ def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> 
     return _Tally(_verdicts(detections, dataset, params), dataset, params).counts()
 
 
-def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
-    if abs(det.onset - gt.onset) > collar.collar:
-        return False
-    if collar.check_offset:
-        offset_tolerance = max(collar.collar, collar.offset_ratio * gt.duration)
-        if abs(det.offset - gt.offset) > offset_tolerance:
-            return False
-    return True
+def _collar_hit(det: Event, gt: Event, collar: CollarParams, reach: float) -> bool:
+    """Whether ``det`` lands within ``gt``'s collars, each decided by :func:`_at_least`."""
+    hit = _at_least(collar.collar, abs(det.onset - gt.onset), 0, reach)
+    if hit is None:
+        hit = _within_collar(det, gt, collar, False)
+    if hit and collar.check_offset:
+        tolerance = max(collar.collar, collar.offset_ratio * (gt.offset - gt.onset))
+        hit = _at_least(tolerance, abs(det.offset - gt.offset), 0, reach)
+        if hit is None:
+            hit = _within_collar(det, gt, collar, True)
+    return hit
+
+
+def _within_collar(det: Event, gt: Event, collar: CollarParams, offset: bool) -> bool:
+    """Whether the onsets, or with ``offset`` the offsets, are within tolerance, exactly."""
+    sub = _EXACT.subtract
+    tolerance = _decimal(collar.collar)
+    if not offset:
+        return abs(sub(_decimal(det.onset), _decimal(gt.onset))) <= tolerance
+    duration = sub(_decimal(gt.offset), _decimal(gt.onset))
+    tolerance = max(tolerance, _EXACT.multiply(_decimal(collar.offset_ratio), duration))
+    return abs(sub(_decimal(det.offset), _decimal(gt.offset))) <= tolerance
 
 
 def collar_match(
@@ -327,11 +446,19 @@ def collar_match(
     detection may validate several ground truths and vice versa.
     """
     index = OnsetIndex(gt_c)
+    # every endpoint and tolerance a check reads is at most a detection's
+    # reach: its offset or ``floor``, times the offset ratio when above 1
+    floor = max(max((ev.offset for ev in gt_c), default=0.0), collar.collar, sys.float_info.min)
+    scale = max(1.0, collar.offset_ratio)
     matched: set[int] = set()
     n_fp = 0
     for det in dets_c:
         window = index.onset_window(det, collar.collar)
-        hits = [i for i in window if _collar_hit(det, gt_c[i], collar)]
+        if window:
+            reach = max(floor, det.offset) * scale
+            hits = [i for i in window if _collar_hit(det, gt_c[i], collar, reach)]
+        else:
+            hits = window
         if hits:
             matched.update(hits)
         else:

@@ -1,19 +1,35 @@
 """Naive all-pairs reference scorer used as an independent test oracle.
 
 Works on plain (filename, onset, offset, label) tuples and recomputes every
-coverage ratio from scratch, with no indexing, grouping or shared code with
-the package under test.
+coverage from scratch, with no indexing, grouping or shared code with the
+package under test. All arithmetic is exact: each number is read as the
+rational ``Fraction(repr(x))``, the shortest decimal that rounds to it, and
+every tolerance compares ``covered >= threshold * duration`` (or a collar
+distance with its tolerance) in those rationals, so no verdict depends on
+float rounding or on the order of a sum.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+
+
+@lru_cache(maxsize=1 << 16)
+def _q(x):
+    return Fraction(repr(float(x)))
+
 
 def _inter(a, b):
     if a[0] != b[0]:
-        return 0.0
-    lo = max(a[1], b[1])
-    hi = min(a[2], b[2])
-    return hi - lo if hi > lo else 0.0
+        return Fraction(0)
+    lo = max(_q(a[1]), _q(b[1]))
+    hi = min(_q(a[2]), _q(b[2]))
+    return hi - lo if hi > lo else Fraction(0)
+
+
+def _reaches(covered, threshold, event):
+    return covered >= _q(threshold) * (_q(event[2]) - _q(event[1]))
 
 
 def brute_force_counts(gt_rows, det_rows, dtc, gtc, cttc):
@@ -31,20 +47,20 @@ def brute_force_counts(gt_rows, det_rows, dtc, gtc, cttc):
         relevant = []
         fps = []
         for x in dets:
-            covered = 0.0
+            covered = Fraction(0)
             for y in gts:
                 covered += _inter(x, y)
-            if covered / (x[2] - x[1]) >= dtc:
+            if _reaches(covered, dtc, x):
                 relevant.append(x)
             else:
                 fps.append(x)
 
         n_tp = 0
         for y in gts:
-            covered = 0.0
+            covered = Fraction(0)
             for x in relevant:
                 covered += _inter(y, x)
-            if covered / (y[2] - y[1]) >= gtc:
+            if _reaches(covered, gtc, y):
                 n_tp += 1
 
         ct = {}
@@ -53,11 +69,11 @@ def brute_force_counts(gt_rows, det_rows, dtc, gtc, cttc):
                 continue
             hits = 0
             for x in fps:
-                covered = 0.0
+                covered = Fraction(0)
                 for y in gt_rows:
                     if y[3] == other:
                         covered += _inter(x, y)
-                if covered / (x[2] - x[1]) >= cttc:
+                if _reaches(covered, cttc, x):
                     hits += 1
             ct[other] = hits
 
@@ -77,11 +93,11 @@ def brute_force_collar(gt_rows, det_rows, collar, offset_ratio, check_offset=Tru
     def hit(det, gt):
         if det[0] != gt[0]:
             return False
-        if abs(det[1] - gt[1]) > collar:
+        if abs(_q(det[1]) - _q(gt[1])) > _q(collar):
             return False
         if check_offset:
-            tol = max(collar, offset_ratio * (gt[2] - gt[1]))
-            if abs(det[2] - gt[2]) > tol:
+            tol = max(_q(collar), _q(offset_ratio) * (_q(gt[2]) - _q(gt[1])))
+            if abs(_q(det[2]) - _q(gt[2])) > tol:
                 return False
         return True
 

@@ -1,0 +1,157 @@
+"""Inclusive tolerances hold exactly for the decimals users write.
+
+Each tolerance compares ``covered >= threshold * duration`` (or a collar
+distance with its tolerance) of the numbers as written, whatever the float
+rounding of the endpoints and whatever order a coverage sum is taken in.
+The probes put one exact tie in each of 199 files, at onsets a float
+cannot hold; the properties draw events on decimal grids (tenths and
+hundredths of a second, onsets up to 3 h), where ties are common, and
+check ``count_matrix`` and ``collar_counts`` against the exact all-pairs
+oracle and against themselves under every drawn order of the detections.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bruteforce import brute_force_collar, brute_force_counts
+from sedscore import CollarParams, Dataset, Event, EventSet, collar_counts, count_matrix
+from sedscore.io import load_dataset, load_detections
+
+from conftest import default_params
+
+HEADER = "filename\tonset\toffset\tevent_label"
+PROBES = range(1, 200)  # onsets 0.1 ... 19.9
+
+
+def _dec(x: float) -> str:
+    return f"{x:.2f}"
+
+
+def _probe(tmp_path, gt_rows, det_rows):
+    """A dataset of one 30 s file per probe, and its detections, read from decimal tables."""
+    files = sorted({row[0] for row in gt_rows})
+    (tmp_path / "durations.tsv").write_text(
+        "filename\tduration\n" + "".join(f"{f}\t30\n" for f in files)
+    )
+    for name, rows in (("gt.tsv", gt_rows), ("det.tsv", det_rows)):
+        lines = ["\t".join(map(str, row)) for row in rows]
+        (tmp_path / name).write_text("\n".join([HEADER, *lines]) + "\n")
+    dataset = load_dataset(tmp_path / "gt.tsv", tmp_path / "durations.tsv")
+    return dataset, load_detections(tmp_path / "det.tsv", dataset)
+
+
+def _half(k: int) -> tuple[str, str, str]:
+    """The onset, half point and end of a 0.3 s event at onset ``k / 10``."""
+    onset = round(k / 10, 2)
+    return _dec(onset), _dec(onset + 0.15), _dec(onset + 0.3)
+
+
+def test_dtc_probe_a_detection_exactly_half_covered_is_relevant(tmp_path):
+    gt = [(f"f{k:03d}", a, b, "x") for k in PROBES for a, b, _ in [_half(k)]]
+    det = [(f"f{k:03d}", a, c, "x") for k in PROBES for a, _, c in [_half(k)]]
+    dataset, detections = _probe(tmp_path, gt, det)
+    counts = count_matrix(detections, dataset, default_params(dtc_threshold=0.5))
+    assert (counts.n_sys["x"], counts.n_fp["x"]) == (199, 0)
+
+
+def test_gtc_probe_a_ground_truth_exactly_half_covered_is_detected(tmp_path):
+    gt = [(f"f{k:03d}", a, c, "x") for k in PROBES for a, _, c in [_half(k)]]
+    det = [(f"f{k:03d}", a, b, "x") for k in PROBES for a, b, _ in [_half(k)]]
+    dataset, detections = _probe(tmp_path, gt, det)
+    counts = count_matrix(detections, dataset, default_params(gtc_threshold=0.5))
+    assert (counts.n_tp["x"], counts.n_fp["x"]) == (199, 0)
+
+
+def test_cttc_probe_a_false_positive_exactly_half_over_another_class_cross_triggers(tmp_path):
+    # class y has one ground truth of its own, in a file of its own
+    gt = [(f"f{k:03d}", a, b, "x") for k in PROBES for a, b, _ in [_half(k)]]
+    gt.append(("f999", "1", "2", "y"))
+    det = [(f"f{k:03d}", a, c, "y") for k in PROBES for a, _, c in [_half(k)]]
+    dataset, detections = _probe(tmp_path, gt, det)
+    counts = count_matrix(detections, dataset, default_params(cttc_threshold=0.5))
+    assert counts.n_fp["y"] == 199
+    assert counts.cross_triggers["y"]["x"] == 199
+
+
+def test_collar_probe_an_onset_exactly_a_collar_away_is_a_hit(tmp_path):
+    # onsets 0.0 ... 19.8, each detection 0.2 s later, with the same offset
+    gt, det = [], []
+    for k in range(199):
+        onset = round(k / 10, 2)
+        gt.append((f"f{k:03d}", _dec(onset), _dec(onset + 1.0), "x"))
+        det.append((f"f{k:03d}", _dec(onset + 0.2), _dec(onset + 1.0), "x"))
+    dataset, detections = _probe(tmp_path, gt, det)
+    counts = collar_counts(detections, dataset, CollarParams(0.2))
+    assert (counts.n_tp["x"], counts.n_fp["x"]) == (199, 0)
+
+
+FILES = ("a", "b")
+CLASSES = ("x", "y")
+THREE_HOURS = 3 * 3600
+thresholds = st.sampled_from((0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.7, 0.75, 1.0))
+
+
+@st.composite
+def grid_instances(draw):
+    """Ground truth and detections of two 3 h files on a grid of tenths or hundredths.
+
+    Every event lies within 4 s after one drawn anchor of its file, so
+    most events overlap, many coverages tie a threshold and the anchors'
+    large onsets round their last bits.
+    """
+    scale = draw(st.sampled_from((10, 100)))
+    anchors = {f: draw(st.integers(0, THREE_HOURS - 5)) for f in FILES}
+
+    def rows(min_size):
+        out = []
+        for _ in range(draw(st.integers(min_size, 10))):
+            f = draw(st.sampled_from(FILES))
+            a, b = sorted(draw(st.lists(st.integers(0, 4 * scale), min_size=2, max_size=2)))
+            if a == b:
+                continue
+            start = anchors[f] * scale
+            onset, offset = (start + a) / scale, (start + b) / scale
+            out.append((f, onset, offset, draw(st.sampled_from(CLASSES))))
+        return out
+
+    gt_rows = rows(1) + [("a", 0.0, 1.0, c) for c in CLASSES]  # every class has ground truth
+    return gt_rows, rows(0)
+
+
+def _events(rows) -> EventSet:
+    return EventSet.from_events(Event(*r) for r in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid_instances(), thresholds, thresholds, thresholds, st.data())
+def test_counts_on_decimal_grids_are_exact_and_order_free(instance, dtc, gtc, cttc, data):
+    gt_rows, det_rows = instance
+    dataset = Dataset(_events(gt_rows), {f: float(THREE_HOURS) for f in FILES})
+    params = default_params(dtc_threshold=dtc, gtc_threshold=gtc, cttc_threshold=cttc)
+    counts = count_matrix(_events(det_rows), dataset, params)
+    expected = brute_force_counts(gt_rows, det_rows, dtc, gtc, cttc)
+    for c, exp in expected.items():
+        got = (counts.n_gt[c], counts.n_sys[c], counts.n_tp[c], counts.n_fp[c])
+        assert got == (exp["n_gt"], exp["n_sys"], exp["n_tp"], exp["n_fp"])
+        assert dict(counts.cross_triggers[c]) == exp["ct"]
+    for order in (data.draw(st.permutations(det_rows)), det_rows[::-1]):
+        assert count_matrix(_events(order), dataset, params) == counts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    grid_instances(),
+    st.sampled_from((0.0, 0.1, 0.2, 0.25, 0.5)),
+    st.sampled_from((0.0, 0.2, 0.5, 1.5)),
+    st.booleans(),
+)
+def test_collar_counts_on_decimal_grids_are_exact(instance, collar, ratio, check_offset):
+    gt_rows, det_rows = instance
+    dataset = Dataset(_events(gt_rows), {f: float(THREE_HOURS) for f in FILES})
+    params = CollarParams(collar=collar, offset_ratio=ratio, check_offset=check_offset)
+    counts = collar_counts(_events(det_rows), dataset, params)
+    expected = brute_force_collar(gt_rows, det_rows, collar, ratio, check_offset)
+    for c, exp in expected.items():
+        assert (counts.n_tp[c], counts.n_fp[c]) == (exp["n_tp"], exp["n_fp"])

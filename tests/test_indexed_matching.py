@@ -5,9 +5,9 @@ small per-example pool (so touching and shared endpoints are common) mixed
 with free floats, over several files and classes, optionally with one very
 long ground truth among short ones. Every result is checked against an
 all-pairs definition that shares no code with the index. ``count_matrix``
-is also checked against the brute-force oracle on a threshold tie, where
-only the oracle's summation order (ground truth in input order,
-detections in detection order) gives the same count.
+is also checked against the exact brute-force oracle on a threshold tie
+of a float coverage sum, in every drawn order of the same pieces: a
+verdict depends on the numbers, not on the order they are summed in.
 """
 
 from __future__ import annotations
@@ -138,8 +138,9 @@ def split_instances(draw):
 def _tie(data, ratio: float) -> float:
     """``ratio`` or the next float above it, or a free threshold if that exceeds 1.
 
-    At either threshold the verdict hinges on the last bit of the ratio, so
-    summing the coverage in another order flips it for some inputs.
+    At either threshold a float verdict hinges on the last bit of the
+    ratio, so summing the coverage in another order would flip it for
+    some inputs.
     """
     tie = math.nextafter(ratio, 2.0) if data.draw(st.booleans()) else ratio
     return tie if 0 < tie <= 1 else data.draw(threshold)
@@ -149,7 +150,8 @@ def _tie(data, ratio: float) -> float:
 @given(split_instances(), st.data())
 def test_count_matrix_equals_bruteforce_on_a_tie(instance, data):
     # the whole event's verdict under its target criterion sits on a tie
-    # of its coverage summed in input order
+    # of its float coverage summed in one order; every order of the same
+    # pieces, ground truth and detections alike, gives the exact counts
     gt_rows, det_rows, whole, pieces_label, target = instance
     gt_rows = data.draw(st.permutations(gt_rows))
     det_rows = data.draw(st.permutations(det_rows))
@@ -177,6 +179,11 @@ def test_count_matrix_equals_bruteforce_on_a_tie(instance, data):
         got = (counts.n_gt[c], counts.n_sys[c], counts.n_tp[c], counts.n_fp[c])
         assert got == (exp["n_gt"], exp["n_sys"], exp["n_tp"], exp["n_fp"])
         assert dict(counts.cross_triggers[c]) == exp["ct"]
+    orders = [(data.draw(st.permutations(gt_rows)), data.draw(st.permutations(det_rows)))]
+    orders.append((gt_rows[::-1], det_rows[::-1]))
+    orders.append((sorted(gt_rows), sorted(det_rows)))
+    for gt_order, det_order in orders:
+        assert count_matrix(as_events(det_order), as_dataset(gt_order), params) == counts
 
 
 @PROPERTY

@@ -88,6 +88,15 @@ class TestParseEventTable:
         with pytest.raises(BadRow, match=r"^<input>:2: onset 'nan' is not finite$"):
             text_events(f"{HEADER}\nf1\tnan\t1\tdog\n")
 
+    # float() reads each of these cells: 10.0, 12.0 and 1.0
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "1\u00a0"])
+    @pytest.mark.parametrize("label", ["dog_bark", "chien_\u00e9"])
+    def test_number_cell_that_float_would_misread_is_not_a_number(self, cell, label):
+        # in a table that is ASCII but for the cell, and in one with a non-ASCII label
+        with pytest.raises(BadRow) as err:
+            text_events(f"{HEADER}\nf1\t0\t1\t{label}\nf1\t2\t{cell}\t{label}\n")
+        assert str(err.value) == f"<input>:3: offset '{cell}' is not a number"
+
     def test_inverted_times_parse_but_fail_validation(self):
         with pytest.raises(NonPositiveDuration, match=r"\(<input>, line 2\)$"):
             text_events(f"{HEADER}\nf1\t2.0\t0.5\tdog\n")
@@ -145,6 +154,12 @@ class TestParseDurationsTable:
     def test_duplicate_filename_rejected(self):
         with pytest.raises(BadRow, match=r"^<input>:3: duplicate filename 'f1'$"):
             text_durations("filename\tduration\nf1\t10\nf1\t5\n")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
+    def test_number_cell_that_float_would_misread_is_not_a_number(self, cell):
+        with pytest.raises(BadRow) as err:
+            text_durations(f"filename\tduration\nf_1\t10\nf_2\t{cell}\n")
+        assert str(err.value) == f"<input>:3: duration '{cell}' is not a number"
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(BadRow, match=r"^<input>:2: duration must be > 0, got 0$"):

@@ -8,11 +8,12 @@ from one candidate list, nested or not, with repeated rows, CRLF line ends,
 byte-order marks, header-only tables and tables byte-identical to the one
 before them or differing from it only in a byte-order mark; candidates
 include rows that differ from another in one field only, and
-``split_instances`` puts a ground truth's GTC verdict on a tie that only
-summation in detection order reproduces. In the ``edited`` shape each
-table deletes, inserts and repeats a few rows of the previous one, so the
-sweep steps the previous table's tally; its tie falls on a table that
-gained a piece of the whole ground truth. A table byte-identical to the
+``split_instances`` puts a ground truth's GTC verdict on a tie of its
+float coverage summed in one table's order, which every exact verdict
+must get right in any order. In the ``edited`` shape each table deletes,
+inserts, repeats and moves a few rows of the previous one, so the sweep
+steps the previous table's tally; its tie falls on a table that gained a
+piece of the whole ground truth. A table byte-identical to the
 previous one, and only such a table, shares that table's counts object.
 Once a table reuses fewer than one row in ten, the rest of the sweep is
 scored without lookups; the unit tests below pin where that happens, and
@@ -113,7 +114,8 @@ def sweeps(draw):
     ``tie`` names the table whose row order sets a GTC tie, or is None
     for the largest table. In the ``edited`` shape it is a table that
     gained a piece of the whole ground truth, often between two pieces
-    that stay, so that only a sum in that table's order keeps the verdict.
+    that stay, so that a float sum in another order could flip the
+    verdict.
     """
     gt_rows, det_rows, whole, _, target = draw(split_instances())
     classes = sorted({r[3] for r in gt_rows})
@@ -221,7 +223,7 @@ def test_sweep_equals_count_matrix_of_each_table(sweep, data):
         # a second call on the same tables with other params: nothing carries over
         assert sweep_operating_points(det_dir, dataset, other) == _per_table(det_dir, dataset, other)
         for stem, counts in swept.items():
-            # against the all-pairs oracle, whose GTC sums in detection order
+            # against the exact all-pairs oracle
             expected = brute_force_counts(gt_rows, tables[f"{stem}.tsv"], dtc, gtc, cttc)
             for c, exp in expected.items():
                 assert (counts.n_tp[c], counts.n_fp[c]) == (exp["n_tp"], exp["n_fp"])
@@ -236,6 +238,7 @@ FAULTY = {
     "unknown label": "a.wav\t20\t21\tunicorn",
     "offset past the file end": "c.wav\t299\t301\tspeech",
     "bad number": "a.wav\t1.5\tsix\tspeech",
+    "digit-group underscore": "a.wav\t1.5\t6_0\tspeech",
     "wrong field count": "a.wav\t1.5\t6.0\tspeech\t0.9",
     "empty line between rows": "",
 }
@@ -348,13 +351,13 @@ def _tallies(tmp_path, monkeypatch, tables):
 MANY = ROWS + OTHER_ROWS + [f"a.wav\t{100 + k}\t{100.5 + k}\tspeech" for k in range(10)]
 
 
-def test_a_table_whose_kept_rows_change_order_is_tallied_from_scratch(tmp_path, monkeypatch):
+def test_a_table_whose_kept_rows_change_order_is_stepped(tmp_path, monkeypatch):
+    # op_1 holds op_0's rows with the first two swapped, op_2 also moves
+    # one row over ground truth to the end and drops another; each equals
+    # count_matrix of its own table (_sweep_texts)
     swapped = [MANY[1], MANY[0], *MANY[2:]]
-    assert _tallies(tmp_path, monkeypatch, [MANY, swapped, swapped[:-1]]) == [
-        "recount",
-        "recount",
-        "step",
-    ]
+    moved = [*swapped[1:-1], swapped[0]]
+    assert _tallies(tmp_path, monkeypatch, [MANY, swapped, moved]) == ["recount", "step", "step"]
 
 
 def test_a_repeated_row_that_loses_an_occurrence_is_stepped(tmp_path, monkeypatch):
@@ -366,10 +369,10 @@ def test_a_repeated_row_that_loses_an_occurrence_is_stepped(tmp_path, monkeypatc
 
 
 def test_a_difference_beyond_the_step_share_is_tallied_from_scratch(tmp_path, monkeypatch):
-    # op_1 loses 3 rows of 15, more than the share of its 12; op_2 loses 2
-    # of 12, exactly the share of its 10
-    assert _STEP_SHARE == 0.2
-    tables = [MANY, MANY[3:], MANY[3:-2]]
+    # op_1 loses 9 rows of 15, more than the share of its 6; op_2 loses 2
+    # of 6, exactly the share of its 4
+    assert _STEP_SHARE == 0.5
+    tables = [MANY, MANY[:6], MANY[:4]]
     assert _tallies(tmp_path, monkeypatch, tables) == ["recount", "recount", "step"]
 
 
