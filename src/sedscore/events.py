@@ -15,8 +15,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import add, attrgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     EventExceedsFileDuration,
@@ -129,40 +129,40 @@ def _left_sum(values: Iterable[float]) -> float:
 class OnsetIndex:
     """Events sorted by file and onset, for pruned overlap lookups.
 
-    ``spans[file_id]`` is the ``[start, end)`` slice of that file's events
-    in ``onsets``, ``run_max_offset`` and ``order``; ``order`` maps each
-    sorted slot to the event's position in ``events``, the input order.
-    Within a file, ``run_max_offset[k]`` is the largest offset of the
-    slots up to ``k``, so both pruning bounds of a lookup are bisections on
-    stored floats and no rounding can drop an overlapping event.
+    ``events`` are the indexed events in file-then-onset order, a stable
+    sort, so events with equal keys keep their input order; every position
+    a lookup returns is a position in ``events``. ``spans[file_id]`` is the
+    ``[start, end)`` slice of that file's events in ``events``, ``onsets``
+    and ``run_max_offset``. Within a file, ``run_max_offset[k]`` is the
+    largest offset of the events up to ``k``, so both pruning bounds of a
+    lookup are bisections on stored floats and no rounding can drop an
+    overlapping event.
     """
 
-    __slots__ = ("events", "order", "onsets", "run_max_offset", "spans")
+    __slots__ = ("events", "onsets", "run_max_offset", "spans")
 
-    def __init__(self, events: Sequence[Event]) -> None:
-        self.events = events
-        keys = sorted((ev.file_id, ev.onset, i) for i, ev in enumerate(events))
-        self.order = [i for _, _, i in keys]
-        self.onsets = [onset for _, onset, _ in keys]
+    def __init__(self, events: Iterable[Event]) -> None:
+        self.events = events = sorted(events, key=attrgetter("file_id", "onset"))
+        self.onsets = [ev.onset for ev in events]
         self.run_max_offset: list[float] = []
         self.spans: dict[str, tuple[int, int]] = {}
         prev = None
-        for slot, (file_id, _, i) in enumerate(keys):
-            offset = events[i].offset
+        for k, ev in enumerate(events):
+            file_id, offset = ev.file_id, ev.offset
             if file_id != prev:
-                prev, start, top = file_id, slot, offset
+                prev, start, top = file_id, k, offset
             elif offset > top:
                 top = offset
             self.run_max_offset.append(top)
-            self.spans[file_id] = (start, slot + 1)
+            self.spans[file_id] = (start, k + 1)
 
     def overlaps(self, x: Event) -> list[tuple[int, float]]:
-        """``(input position, overlap)`` of each indexed event that overlaps ``x``.
+        """``(position, overlap)`` of each indexed event that overlaps ``x``, in index order.
 
-        Only events of ``x``'s file with a positive overlap appear, in
-        ascending input position. Each overlap is the value
-        :func:`intersection_duration` gives, with ``min`` and ``max`` written
-        out: builtin calls would dominate the cost of this loop.
+        Only events of ``x``'s file with a positive overlap appear. Each
+        overlap is the value :func:`intersection_duration` gives, with
+        ``min`` and ``max`` written out: builtin calls would dominate the
+        cost of this loop.
         """
         span = self.spans.get(x.file_id)
         if span is None:
@@ -172,7 +172,7 @@ class OnsetIndex:
         hi = bisect_left(self.onsets, offset, lo, span[1])
         events = self.events
         hits = []
-        for i in sorted(self.order[lo:hi]):
+        for i in range(lo, hi):
             y = events[i]
             overlap = (offset if offset <= y.offset else y.offset) - (
                 onset if onset >= y.onset else y.onset
@@ -181,8 +181,8 @@ class OnsetIndex:
                 hits.append((i, overlap))
         return hits
 
-    def onset_window(self, x: Event, reach: float) -> list[int]:
-        """Input positions of the indexed events of ``x``'s file with onsets near ``x``'s.
+    def onset_window(self, x: Event, reach: float) -> range:
+        """Positions of the indexed events of ``x``'s file with onsets near ``x``'s.
 
         The window reaches ``reach`` either side, widened by a relative 1e-9,
         far more than the rounding of an onset difference, so rounding never
@@ -190,11 +190,11 @@ class OnsetIndex:
         """
         span = self.spans.get(x.file_id)
         if span is None:
-            return []
+            return range(0)
         reach += (x.onset + reach) * 1e-9
         lo = bisect_left(self.onsets, x.onset - reach, *span)
         hi = bisect_right(self.onsets, x.onset + reach, lo, span[1])
-        return self.order[lo:hi]
+        return range(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -382,15 +382,6 @@ class Dataset:
         matching derives its near-tie band from it (``matching._at_least``).
         """
         return max(*self.file_durations.values(), sys.float_info.min)
-
-    @cached_property
-    def _gtc_bounds(self) -> dict[float, list[float]]:
-        """GTC threshold -> ``threshold * duration`` of each ground truth, in input order.
-
-        Filled by matching on the first tally under each threshold, never by
-        a loader.
-        """
-        return {}
 
     @cached_property
     def class_durations(self) -> Mapping[str, float]:

@@ -72,11 +72,13 @@ class TableRow(NamedTuple):
 def _parse_number(raw: str, what: str, line: int, name: str, ascii: bool) -> float:
     """The finite float a number cell holds.
 
-    ``float`` also takes digit-group underscores and non-ASCII digits, so
-    ``1_0`` would read 10.0 and ``١٢`` 12.0; such a cell is not a number.
-    ``ascii`` says the whole table is ASCII, so no cell needs that check.
+    ``float`` also takes digit-group underscores, non-ASCII digits and
+    surrounding whitespace, so ``1_0`` would read 10.0, ``١٢`` 12.0 and
+    ``' 1.5 '`` 1.5; such a cell is not a number, as a padded label is
+    refused. ``ascii`` says the whole table is ASCII, so no cell needs
+    the ASCII check.
     """
-    if "_" in raw or not (ascii or raw.isascii()):
+    if "_" in raw or raw != raw.strip() or not (ascii or raw.isascii()):
         raise BadRow(f"{name}:{line}: {what} '{raw}' is not a number")
     try:
         value = float(raw)

@@ -24,12 +24,14 @@ Every overlap comes from one kernel, :meth:`OnsetIndex.overlaps`: the
 events of each file sorted by onset, with a running maximum of offsets, so
 a lookup visits only the events that can overlap and counting costs close
 to linear time in the events per file. The ground-truth index is built
-lazily, once per dataset, on first use. :func:`count_matrix` makes one
-lookup per detection and no other, and turns it into the detection's
-record: its own-class overlaps decide its DTC verdict; a relevant
-detection keeps them, and a false positive keeps the classes its overlaps,
-folded by class, cross-trigger. A record depends only on the detection,
-the dataset and the params, so a sweep can reuse it for a repeated row.
+lazily, once per dataset, on first use, and a ground truth is named by its
+position in the index's own list of events, in file-then-onset order.
+:func:`count_matrix` makes one lookup per detection and no other, and
+turns it into the detection's record: its own-class overlaps decide its
+DTC verdict; a relevant detection keeps them, and a false positive keeps
+the classes its overlaps, folded by class, cross-trigger. A record
+depends only on the detection, the dataset and the params, so a sweep
+can reuse it for a repeated row.
 The tally of a table's records gives its counts: GTC sums, for each
 touched ground truth, the overlaps of the relevant detections, with no
 second index. A sweep keeps the tally of one table and steps it to the
@@ -213,9 +215,10 @@ def _cross_trigger(
 
 
 def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> dict[str, float]:
-    """Fold :meth:`OnsetIndex.overlaps` hits into one running sum per class, in hit order.
+    """Fold :meth:`OnsetIndex.overlaps` hits in the index's ``events`` into one sum per class.
 
-    Each sum equals :func:`total_intersection` over the class's events, bit for bit.
+    The hits come in ascending position, so each sum equals, bit for bit,
+    :func:`total_intersection` over the class's events in ``events`` order.
     """
     sums: dict[str, float] = {}
     for i, overlap in hits:
@@ -225,7 +228,7 @@ def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> d
 
 
 # A detection's record: ``(label, own, rest)``. When the detection passes
-# DTC, ``own`` lists the ``(ground-truth position, overlap)`` hits of its
+# DTC, ``own`` lists the ``(index position, overlap)`` hits of its
 # own class and ``rest`` is the detection itself, kept so that a GTC
 # near-tie can be summed again exactly. For a false positive ``own`` is
 # None and ``rest`` lists the classes it cross-triggers.
@@ -240,8 +243,8 @@ def _verdicts(
     A record depends only on the detection, the dataset and the params, so
     a sweep may reuse it for an identical detection of another table.
     """
-    gt = dataset.ground_truth.events
-    overlaps = dataset.ground_truth.onset_index.overlaps
+    index = dataset.ground_truth.onset_index
+    gt, overlaps = index.events, index.overlaps
     classes = dataset.classes
     longest = dataset._reach
     dtc, cttc = params.dtc_threshold, params.cttc_threshold
@@ -285,7 +288,7 @@ class _Tally:
         """Tally the records of one table, one per row, in any order."""
         classes = dataset.classes
         self._classes = classes
-        self._gt = dataset.ground_truth.events
+        self._gt = dataset.ground_truth.onset_index.events
         self._gtc = gtc = params.gtc_threshold
         self._n_gt = _n_gt(dataset)
         self._n_sys = dict.fromkeys(classes, 0)
@@ -293,23 +296,21 @@ class _Tally:
         self._ct = _no_cross_triggers(classes)
         # with a zero GTC every ground truth counts, touched or not
         self._n_tp = dict.fromkeys(classes, 0) if gtc else dict(self._n_gt)
-        self._passed: set[int] = set()  # ground-truth positions that pass GTC
-        # ground-truth position -> (overlap, detection) of each relevant row covering it
+        self._passed: set[int] = set()  # index positions of the ground truths that pass GTC
+        # index position -> (overlap, detection) of each relevant row covering the ground truth
         self._covering: dict[int, list[tuple[float, Event]]] = {}
         self._add(records, 1)
         if gtc:
             self._reach = dataset._reach
-            self._bounds = dataset._gtc_bounds.get(gtc)
-            if self._bounds is None:
-                self._bounds = [gtc * (ev.offset - ev.onset) for ev in self._gt]
-                dataset._gtc_bounds[gtc] = self._bounds
             self._decide(self._covering)
 
     def _add(self, records: Iterable[_Verdict], sign: int) -> None:
         """Add ``sign`` times the counts of each record, a row of the table.
 
-        A relevant record's detection enters, or with a negative ``sign``
-        leaves, the covering list of each ground truth it covers.
+        A relevant record's ``(overlap, detection)`` enters, or with a
+        negative ``sign`` leaves, the covering list of each ground truth it
+        covers. An equal entry of another row is the same term of the sum,
+        so a leaving row may take out either.
         """
         n_sys, n_fp, ct, covering = self._n_sys, self._n_fp, self._ct, self._covering
         for c, own, rest in records:
@@ -327,31 +328,28 @@ class _Tally:
                     else:
                         entries.append((overlap, rest))
             else:
-                for i, _ in own:
-                    entries = covering[i]
-                    for k, (_, det) in enumerate(entries):
-                        if det is rest:  # equal detections of other rows would compare fields
-                            del entries[k]
-                            break
+                for i, overlap in own:
+                    covering[i].remove((overlap, rest))
 
     def _decide(self, touched: Iterable[int]) -> None:
         """Decide GTC again for each of the ``touched`` ground truths, on the rows covering it."""
-        gt, gtc, bounds, reach = self._gt, self._gtc, self._bounds, self._reach
+        gt, gtc, reach = self._gt, self._gtc, self._reach
         covering, passed, n_tp = self._covering, self._passed, self._n_tp
         for i in touched:
             entries = covering[i]
             total = 0.0
             for overlap, _ in entries:
                 total += overlap
-            hit = _at_least(total, bounds[i], len(entries), reach)
+            g = gt[i]
+            hit = _at_least(total, gtc * (g.offset - g.onset), len(entries), reach)
             if hit is None:
-                hit = _covers(gt[i], (det for _, det in entries), gtc)
+                hit = _covers(g, (det for _, det in entries), gtc)
             if hit and i not in passed:
                 passed.add(i)
-                n_tp[gt[i].class_label] += 1
+                n_tp[g.class_label] += 1
             elif not hit and i in passed:
                 passed.remove(i)
-                n_tp[gt[i].class_label] -= 1
+                n_tp[g.class_label] -= 1
 
     def step(self, left: Sequence[_Verdict], came: Sequence[_Verdict]) -> None:
         """Step the counts to a table that lacks the records ``left`` and adds ``came``.
@@ -446,6 +444,7 @@ def collar_match(
     detection may validate several ground truths and vice versa.
     """
     index = OnsetIndex(gt_c)
+    gt = index.events
     # every endpoint and tolerance a check reads is at most a detection's
     # reach: its offset or ``floor``, times the offset ratio when above 1
     floor = max(max((ev.offset for ev in gt_c), default=0.0), collar.collar, sys.float_info.min)
@@ -456,7 +455,7 @@ def collar_match(
         window = index.onset_window(det, collar.collar)
         if window:
             reach = max(floor, det.offset) * scale
-            hits = [i for i in window if _collar_hit(det, gt_c[i], collar, reach)]
+            hits = [i for i in window if _collar_hit(det, gt[i], collar, reach)]
         else:
             hits = window
         if hits:

@@ -7,7 +7,8 @@ The probes put one exact tie in each of 199 files, at onsets a float
 cannot hold; the properties draw events on decimal grids (tenths and
 hundredths of a second, onsets up to 3 h), where ties are common, and
 check ``count_matrix`` and ``collar_counts`` against the exact all-pairs
-oracle and against themselves under every drawn order of the detections.
+oracle and against themselves under every drawn order of the ground truth
+and of the detections.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def _events(rows) -> EventSet:
 @given(grid_instances(), thresholds, thresholds, thresholds, st.data())
 def test_counts_on_decimal_grids_are_exact_and_order_free(instance, dtc, gtc, cttc, data):
     gt_rows, det_rows = instance
-    dataset = Dataset(_events(gt_rows), {f: float(THREE_HOURS) for f in FILES})
+    durations = {f: float(THREE_HOURS) for f in FILES}
+    dataset = Dataset(_events(gt_rows), durations)
     params = default_params(dtc_threshold=dtc, gtc_threshold=gtc, cttc_threshold=cttc)
     counts = count_matrix(_events(det_rows), dataset, params)
     expected = brute_force_counts(gt_rows, det_rows, dtc, gtc, cttc)
@@ -136,8 +138,13 @@ def test_counts_on_decimal_grids_are_exact_and_order_free(instance, dtc, gtc, ct
         got = (counts.n_gt[c], counts.n_sys[c], counts.n_tp[c], counts.n_fp[c])
         assert got == (exp["n_gt"], exp["n_sys"], exp["n_tp"], exp["n_fp"])
         assert dict(counts.cross_triggers[c]) == exp["ct"]
-    for order in (data.draw(st.permutations(det_rows)), det_rows[::-1]):
-        assert count_matrix(_events(order), dataset, params) == counts
+    assert count_matrix(_events(data.draw(st.permutations(det_rows))), dataset, params) == counts
+    for gt_order, det_order in (
+        (data.draw(st.permutations(gt_rows)), data.draw(st.permutations(det_rows))),
+        (gt_rows[::-1], det_rows[::-1]),
+    ):
+        reordered = Dataset(_events(gt_order), durations)
+        assert count_matrix(_events(det_order), reordered, params) == counts
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -146,12 +153,20 @@ def test_counts_on_decimal_grids_are_exact_and_order_free(instance, dtc, gtc, ct
     st.sampled_from((0.0, 0.1, 0.2, 0.25, 0.5)),
     st.sampled_from((0.0, 0.2, 0.5, 1.5)),
     st.booleans(),
+    st.data(),
 )
-def test_collar_counts_on_decimal_grids_are_exact(instance, collar, ratio, check_offset):
+def test_collar_counts_on_decimal_grids_are_exact(instance, collar, ratio, check_offset, data):
     gt_rows, det_rows = instance
-    dataset = Dataset(_events(gt_rows), {f: float(THREE_HOURS) for f in FILES})
+    durations = {f: float(THREE_HOURS) for f in FILES}
+    dataset = Dataset(_events(gt_rows), durations)
     params = CollarParams(collar=collar, offset_ratio=ratio, check_offset=check_offset)
     counts = collar_counts(_events(det_rows), dataset, params)
     expected = brute_force_collar(gt_rows, det_rows, collar, ratio, check_offset)
     for c, exp in expected.items():
         assert (counts.n_tp[c], counts.n_fp[c]) == (exp["n_tp"], exp["n_fp"])
+    for gt_order, det_order in (
+        (data.draw(st.permutations(gt_rows)), data.draw(st.permutations(det_rows))),
+        (gt_rows[::-1], det_rows[::-1]),
+    ):
+        reordered = Dataset(_events(gt_order), durations)
+        assert collar_counts(_events(det_order), reordered, params) == counts

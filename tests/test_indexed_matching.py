@@ -188,12 +188,26 @@ def test_count_matrix_equals_bruteforce_on_a_tie(instance, data):
 
 @PROPERTY
 @given(instances())
-def test_overlaps_equal_all_pairs_in_input_order(instance):
+def test_index_events_are_the_input_stably_sorted_by_file_and_onset(instance):
+    gt_rows, _ = instance
+    gts = [Event(*r) for r in gt_rows]
+    # input position as the last key: stable by construction, not by sort stability
+    keys = sorted((g.file_id, g.onset, i) for i, g in enumerate(gts))
+    expected = [gts[i] for _, _, i in keys]
+    # the same objects, so equal events keep their input order too
+    assert [id(g) for g in OnsetIndex(gts).events] == [id(g) for g in expected]
+
+
+@PROPERTY
+@given(instances())
+def test_overlaps_equal_all_pairs_in_index_order(instance):
     gt_rows, det_rows = instance
     gts = [Event(*r) for r in gt_rows]
     index = OnsetIndex(gts)
+    events = index.events
+    assert sorted(map(id, events)) == sorted(map(id, gts))
     for x in (Event(*r) for r in det_rows + gt_rows):
-        expected = [(i, intersection_duration(x, g)) for i, g in enumerate(gts)]
+        expected = [(i, intersection_duration(x, g)) for i, g in enumerate(events)]
         assert index.overlaps(x) == [(i, overlap) for i, overlap in expected if overlap > 0]
 
 
@@ -201,13 +215,14 @@ def test_overlaps_equal_all_pairs_in_input_order(instance):
 @given(instances())
 def test_coverage_is_total_intersection_bit_for_bit(instance):
     gt_rows, det_rows = instance
-    gts = [Event(*r) for r in gt_rows]
-    index = OnsetIndex(gts)
+    index = OnsetIndex([Event(*r) for r in gt_rows])
+    events = index.events
     for det in (Event(*r) for r in det_rows + gt_rows):
         expected = {
-            c: total_intersection(det, [g for g in gts if g.class_label == c]) for c in CLASSES
+            c: total_intersection(det, [g for g in events if g.class_label == c])
+            for c in CLASSES
         }
-        got = _class_sums(gts, index.overlaps(det))
+        got = _class_sums(events, index.overlaps(det))
         assert got == {c: v for c, v in expected.items() if v > 0}
 
 

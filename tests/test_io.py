@@ -88,8 +88,8 @@ class TestParseEventTable:
         with pytest.raises(BadRow, match=r"^<input>:2: onset 'nan' is not finite$"):
             text_events(f"{HEADER}\nf1\tnan\t1\tdog\n")
 
-    # float() reads each of these cells: 10.0, 12.0 and 1.0
-    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "1\u00a0"])
+    # float() reads each of these cells: 10.0, 12.0, 1.0, 1.5 and 1.0
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "1\u00a0", " 1.5 ", "1\x0b"])
     @pytest.mark.parametrize("label", ["dog_bark", "chien_\u00e9"])
     def test_number_cell_that_float_would_misread_is_not_a_number(self, cell, label):
         # in a table that is ASCII but for the cell, and in one with a non-ASCII label
@@ -155,7 +155,7 @@ class TestParseDurationsTable:
         with pytest.raises(BadRow, match=r"^<input>:3: duplicate filename 'f1'$"):
             text_durations("filename\tduration\nf1\t10\nf1\t5\n")
 
-    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", " 1.5 ", "1\x0b"])
     def test_number_cell_that_float_would_misread_is_not_a_number(self, cell):
         with pytest.raises(BadRow) as err:
             text_durations(f"filename\tduration\nf_1\t10\nf_2\t{cell}\n")

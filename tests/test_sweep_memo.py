@@ -368,6 +368,18 @@ def test_a_repeated_row_that_loses_an_occurrence_is_stepped(tmp_path, monkeypatc
     assert _tallies(tmp_path, monkeypatch, [first, second, third]) == ["recount", "step", "step"]
 
 
+def test_a_row_that_leaves_takes_out_an_equal_event_of_other_text(tmp_path, monkeypatch):
+    # two texts of one detection, each covering 1.4 s of the 4.57 s speech
+    # ground truth at 8.85 s: both pass GTC together, neither alone; each
+    # stepped table drops one of them or brings it back
+    twins = ["a.wav\t8.85\t10.25\tspeech", "a.wav\t8.850\t10.25\tspeech"]
+    tables = [[*twins, *MANY], [twins[1], *MANY], [*twins, *MANY], [twins[0], *MANY]]
+    assert _tallies(tmp_path, monkeypatch, tables) == ["recount", "step", "step", "step"]
+    per_table = _per_table(tmp_path, GOLDEN_DATASET, default_params())
+    n_tp = [counts.n_tp["speech"] for counts in per_table.values()]
+    assert n_tp[0] - n_tp[1] == n_tp[2] - n_tp[3] == 1
+
+
 def test_a_difference_beyond_the_step_share_is_tallied_from_scratch(tmp_path, monkeypatch):
     # op_1 loses 9 rows of 15, more than the share of its 6; op_2 loses 2
     # of 6, exactly the share of its 4
