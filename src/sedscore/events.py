@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -184,14 +183,15 @@ class OnsetIndex:
     def onset_window(self, x: Event, reach: float) -> range:
         """Positions of the indexed events of ``x``'s file with onsets near ``x``'s.
 
-        The window reaches ``reach`` either side, widened by a relative 1e-9,
-        far more than the rounding of an onset difference, so rounding never
-        drops a candidate; the caller re-checks each one.
+        The window reaches ``reach`` either side, widened by a relative 1e-9
+        and by the smallest normal float, far more than the rounding of an
+        onset difference, a subnormal one included, so rounding never drops
+        a candidate; the caller re-checks each one.
         """
         span = self.spans.get(x.file_id)
         if span is None:
             return range(0)
-        reach += (x.onset + reach) * 1e-9
+        reach += (x.onset + reach) * 1e-9 + 2.0**-1022
         lo = bisect_left(self.onsets, x.onset - reach, *span)
         hi = bisect_right(self.onsets, x.onset + reach, lo, span[1])
         return range(lo, hi)
@@ -372,16 +372,6 @@ class Dataset:
     @property
     def classes(self) -> tuple[str, ...]:
         return self.ground_truth.class_labels
-
-    @cached_property
-    def _reach(self) -> float:
-        """The longest file's duration, which no ground-truth endpoint exceeds.
-
-        It is never below the smallest normal float, so half an ulp of any
-        endpoint, a subnormal one included, is at most ``2**-53`` of it:
-        matching derives its near-tie band from it (``matching._at_least``).
-        """
-        return max(*self.file_durations.values(), sys.float_info.min)
 
     @cached_property
     def class_durations(self) -> Mapping[str, float]:

@@ -15,10 +15,12 @@ duration``, and coverage sums are literal sums of pairwise overlaps
 tolerance, the collar's included, is decided by one check,
 :func:`_at_least`: in floats, and within a proven near-tie band again in
 exact decimal arithmetic, so that it holds of the numbers as written and
-no verdict depends on the order of a sum. True positives count ground
-truths while false positives count detections, so one detection spanning
-k ground truths can yield k true positives, and k split detections
-covering one ground truth yield at most one.
+no verdict depends on the order of a sum. The band is sized by the
+numbers the check reads: the offset of the covered event, or the larger
+operand of a collar check. True positives count ground truths while
+false positives count detections, so one detection spanning k ground
+truths can yield k true positives, and k split detections covering one
+ground truth yield at most one.
 
 Every overlap comes from one kernel, :meth:`OnsetIndex.overlaps`: the
 events of each file sorted by onset, with a running maximum of offsets, so
@@ -45,7 +47,6 @@ bisecting for onsets within the collar.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -102,7 +103,7 @@ class CountsMatrix:
 
 
 # Twice the bound on the rounding of one tolerance check, per unit of
-# (terms + 2) * (value + reach): see _at_least.
+# (terms + 2) * (value + reach + 2**-1022): see _at_least.
 _BAND = 2.0**-50
 
 
@@ -112,29 +113,36 @@ def _at_least(value: float, bound: float, terms: int, reach: float) -> bool | No
     The one tolerance check. ``value`` is a coverage sum of at most
     ``terms`` overlaps, or a collar tolerance (``terms`` 0), and ``bound``
     is ``threshold * duration``, or a collar distance; both are computed in
-    floats. ``reach`` bounds every endpoint and tolerance the check reads,
-    and a collar's offset ratio times every endpoint, and is at least the
-    smallest normal float; a threshold is at most 1. Outside a band around
+    floats. ``reach`` is the largest number the check reads: every
+    endpoint, duration and tolerance, and a collar's offset ratio times
+    every endpoint. For a coverage check it is the offset of the covered
+    event, as each overlap is ``min(offsets) - max(onsets)`` of two events
+    and so reads no endpoint above it; for a collar check it is the larger
+    offset or the collar, times the offset ratio when above 1
+    (:func:`_collar_hit`). A threshold is at most 1. Outside a band around
     the tie the float comparison gives the exact verdict. Inside it the
     answer is None, and the caller decides in exact decimal arithmetic,
     each float ``x`` read as :func:`_decimal`, the shortest decimal that
-    rounds to it (:func:`_covers`, :func:`_within_collar`). So a verdict
+    rounds to it (:func:`_covers`, :func:`_collar_hit`). So a verdict
     holds ``>=`` of the numbers as written, and does not depend on the
     order of a sum.
 
     The band. Reading each float as its shortest decimal keeps the order
     of any two floats, so the same events overlap in both arithmetics, and
     the same endpoints bound each overlap. Let ``u = 2**-53``,
-    ``R = reach``, ``n = terms`` and ``c`` the float ``value``; every error
-    below is measured against the exact decimals.
+    ``R = reach + 2**-1022``, ``n = terms`` and ``c`` the float ``value``;
+    every error below is measured against the exact decimals. Half an ulp
+    of a float ``x``, subnormal or not, is at most ``u*(|x| + 2**-1022)``,
+    so half an ulp of any number in ``[0, reach]`` is at most ``u*R``.
     (1) An endpoint is off by at most half an ulp of itself, ``u*R``.
-    (2) An overlap is one float subtraction of two endpoints in ``[0, R]``,
-        whose rounding adds at most ``u*R``: with (1), each term is off by
-        ``3u*R``, and the ``n`` terms by ``3n*u*R``.
+    (2) An overlap is one float subtraction of two endpoints in
+        ``[0, reach]``, whose rounding adds at most ``u*R``: with (1), each
+        term is off by ``3u*R``, and the ``n`` terms by ``3n*u*R``.
     (3) ``n`` terms >= 0 with exact sum ``S``, added in any order, give a
         float within ``(n - 1)u*S / (1 - (n - 1)u)`` of ``S`` (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2);
-        as ``(n - 1)u`` is below 0.01, that is below ``1.05n*u*c``.
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2; a
+        subnormal sum is exact); as ``(n - 1)u`` is below 0.01, that is
+        below ``1.05n*u*c``.
     (4) ``bound = threshold * duration``: the duration is off by ``3u*R``
         as in (2), times a threshold of at most 1; the threshold by half an
         ulp, ``u``, times a duration of at most ``R``; the product's
@@ -148,7 +156,7 @@ def _at_least(value: float, bound: float, terms: int, reach: float) -> bool | No
     monotone.
     """
     gap = value - bound
-    band = (terms + 2) * (value + reach) * _BAND
+    band = (terms + 2) * (value + reach + 2.0**-1022) * _BAND
     if gap > band:
         return True
     if gap < -band:
@@ -189,12 +197,11 @@ def _cross_trigger(
     gt: Sequence[Event],
     cttc_threshold: float,
     classes: Sequence[str],
-    reach: float,
 ) -> list[str]:
     """The classes other than its own that the false positive ``fp`` cross-triggers.
 
-    ``hits`` are its :meth:`OnsetIndex.overlaps` hits in ``gt``, and
-    ``reach`` bounds their endpoints and its own. With a zero threshold
+    ``hits`` are its :meth:`OnsetIndex.overlaps` hits in ``gt``, and each
+    check reads no endpoint above ``fp``'s offset. With a zero threshold
     every other class of ``classes`` counts, overlap or not; otherwise
     only classes with coverage can reach the threshold.
     """
@@ -205,7 +212,7 @@ def _cross_trigger(
     crossed = []
     for other, covered in _class_sums(gt, hits).items():
         if other != label:
-            hit = _at_least(covered, bound, len(hits), reach)
+            hit = _at_least(covered, bound, len(hits), fp.offset)
             if hit is None:
                 ys = (gt[i] for i, _ in hits if gt[i].class_label == other)
                 hit = _covers(fp, ys, cttc_threshold)
@@ -246,7 +253,6 @@ def _verdicts(
     index = dataset.ground_truth.onset_index
     gt, overlaps = index.events, index.overlaps
     classes = dataset.classes
-    longest = dataset._reach
     dtc, cttc = params.dtc_threshold, params.cttc_threshold
     for det in detections:
         c = det.class_label
@@ -255,11 +261,9 @@ def _verdicts(
         covered = 0.0  # inline in this hot loop
         for _, overlap in own:
             covered += overlap
-        offset = det.offset
-        # the ground truths lie in their files; a detection built in code need not
-        reach = offset if offset > longest else longest
         if own:
-            relevant = _at_least(covered, dtc * (offset - det.onset), len(own), reach)
+            offset = det.offset
+            relevant = _at_least(covered, dtc * (offset - det.onset), len(own), offset)
             if relevant is None:
                 relevant = _covers(det, (gt[i] for i, _ in own), dtc)
         else:  # exactly 0 >= dtc * duration, as the duration is positive
@@ -267,7 +271,7 @@ def _verdicts(
         if relevant:
             yield c, own, det
         elif len(own) < len(hits) or not cttc:
-            yield c, None, _cross_trigger(det, hits, gt, cttc, classes, reach)
+            yield c, None, _cross_trigger(det, hits, gt, cttc, classes)
         else:  # no other class in reach
             yield c, None, ()
 
@@ -301,7 +305,6 @@ class _Tally:
         self._covering: dict[int, list[tuple[float, Event]]] = {}
         self._add(records, 1)
         if gtc:
-            self._reach = dataset._reach
             self._decide(self._covering)
 
     def _add(self, records: Iterable[_Verdict], sign: int) -> None:
@@ -333,7 +336,7 @@ class _Tally:
 
     def _decide(self, touched: Iterable[int]) -> None:
         """Decide GTC again for each of the ``touched`` ground truths, on the rows covering it."""
-        gt, gtc, reach = self._gt, self._gtc, self._reach
+        gt, gtc = self._gt, self._gtc
         covering, passed, n_tp = self._covering, self._passed, self._n_tp
         for i in touched:
             entries = covering[i]
@@ -341,7 +344,8 @@ class _Tally:
             for overlap, _ in entries:
                 total += overlap
             g = gt[i]
-            hit = _at_least(total, gtc * (g.offset - g.onset), len(entries), reach)
+            offset = g.offset
+            hit = _at_least(total, gtc * (offset - g.onset), len(entries), offset)
             if hit is None:
                 hit = _covers(g, (det for _, det in entries), gtc)
             if hit and i not in passed:
@@ -407,28 +411,30 @@ def count_matrix(detections: EventSet, dataset: Dataset, params: EvalParams) -> 
     return _Tally(_verdicts(detections, dataset, params), dataset, params).counts()
 
 
-def _collar_hit(det: Event, gt: Event, collar: CollarParams, reach: float) -> bool:
-    """Whether ``det`` lands within ``gt``'s collars, each decided by :func:`_at_least`."""
+def _collar_hit(det: Event, gt: Event, collar: CollarParams) -> bool:
+    """Whether ``det`` lands within ``gt``'s collars, each decided by :func:`_at_least`.
+
+    Every endpoint, distance and tolerance the two checks read is at most
+    the larger offset or the collar, times the offset ratio when above 1.
+    A near tie is decided again in exact decimals.
+    """
+    ratio = collar.offset_ratio
+    reach = max(det.offset, gt.offset, collar.collar)
+    if ratio > 1.0:
+        reach *= ratio
     hit = _at_least(collar.collar, abs(det.onset - gt.onset), 0, reach)
     if hit is None:
-        hit = _within_collar(det, gt, collar, False)
+        distance = _EXACT.subtract(_decimal(det.onset), _decimal(gt.onset))
+        hit = abs(distance) <= _decimal(collar.collar)
     if hit and collar.check_offset:
-        tolerance = max(collar.collar, collar.offset_ratio * (gt.offset - gt.onset))
+        tolerance = max(collar.collar, ratio * (gt.offset - gt.onset))
         hit = _at_least(tolerance, abs(det.offset - gt.offset), 0, reach)
         if hit is None:
-            hit = _within_collar(det, gt, collar, True)
+            sub = _EXACT.subtract
+            duration = sub(_decimal(gt.offset), _decimal(gt.onset))
+            tolerance = max(_decimal(collar.collar), _EXACT.multiply(_decimal(ratio), duration))
+            hit = abs(sub(_decimal(det.offset), _decimal(gt.offset))) <= tolerance
     return hit
-
-
-def _within_collar(det: Event, gt: Event, collar: CollarParams, offset: bool) -> bool:
-    """Whether the onsets, or with ``offset`` the offsets, are within tolerance, exactly."""
-    sub = _EXACT.subtract
-    tolerance = _decimal(collar.collar)
-    if not offset:
-        return abs(sub(_decimal(det.onset), _decimal(gt.onset))) <= tolerance
-    duration = sub(_decimal(gt.offset), _decimal(gt.onset))
-    tolerance = max(tolerance, _EXACT.multiply(_decimal(collar.offset_ratio), duration))
-    return abs(sub(_decimal(det.offset), _decimal(gt.offset))) <= tolerance
 
 
 def collar_match(
@@ -445,19 +451,11 @@ def collar_match(
     """
     index = OnsetIndex(gt_c)
     gt = index.events
-    # every endpoint and tolerance a check reads is at most a detection's
-    # reach: its offset or ``floor``, times the offset ratio when above 1
-    floor = max(max((ev.offset for ev in gt_c), default=0.0), collar.collar, sys.float_info.min)
-    scale = max(1.0, collar.offset_ratio)
     matched: set[int] = set()
     n_fp = 0
     for det in dets_c:
         window = index.onset_window(det, collar.collar)
-        if window:
-            reach = max(floor, det.offset) * scale
-            hits = [i for i in window if _collar_hit(det, gt[i], collar, reach)]
-        else:
-            hits = window
+        hits = [i for i in window if _collar_hit(det, gt[i], collar)]
         if hits:
             matched.update(hits)
         else:

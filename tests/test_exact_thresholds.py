@@ -8,16 +8,21 @@ cannot hold; the properties draw events on decimal grids (tenths and
 hundredths of a second, onsets up to 3 h), where ties are common, and
 check ``count_matrix`` and ``collar_counts`` against the exact all-pairs
 oracle and against themselves under every drawn order of the ground truth
-and of the detections.
+and of the detections. Subnormal probes check the rounding floor of each
+check and of the collar's onset window, and a 3 h file checks that a near
+tie's band is sized by the check's own numbers, not by the longest file.
 """
 
 from __future__ import annotations
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_force_collar, brute_force_counts
-from sedscore import CollarParams, Dataset, Event, EventSet, collar_counts, count_matrix
+from sedscore import CollarParams, Dataset, Event, EventSet, collar_counts, count_matrix, matching
 from sedscore.io import load_dataset, load_detections
 
 from conftest import default_params
@@ -170,3 +175,93 @@ def test_collar_counts_on_decimal_grids_are_exact(instance, collar, ratio, check
     ):
         reordered = Dataset(_events(gt_order), durations)
         assert collar_counts(_events(det_order), reordered, params) == counts
+
+
+# Subnormal events: (wide, narrow) pairs, where the float verdict of
+# ``narrow`` covering ``threshold`` of ``wide`` is not the exact one at
+# 0.1, 0.3, 0.5 (an exact tie) and 0.7, and the smallest subnormals.
+# Onsets 1.9e-322 and 2.1e-322 lie 2e-323 apart as written, a collar tie,
+# but 2.47e-323 apart as floats.
+SUBNORMAL_PROBES = (
+    ((1.9e-322, 6e-322), (1.9e-322, 2.3e-322)),
+    ((2e-322, 1.46e-321), (2.2e-322, 6e-322)),
+    ((1.9e-322, 1.05e-321), (1.9e-322, 6.2e-322)),
+    ((2.3e-322, 1.46e-321), (6e-322, 1.46e-321)),
+    ((0.0, 1.5e-323), (5e-324, 1e-323)),
+)
+
+
+def _subnormal_instance():
+    """Each probe in three files, decided by DTC, by GTC and by CTTC, next to normal events."""
+    gt_rows, det_rows = [], []
+    for k, (wide, narrow) in enumerate(SUBNORMAL_PROBES):
+        gt_rows += [(f"d{k}", *narrow, "x"), (f"g{k}", *wide, "x"), (f"c{k}", *narrow, "y")]
+        det_rows += [(f"d{k}", *wide, "x"), (f"g{k}", *narrow, "x"), (f"c{k}", *wide, "x")]
+        for f in (f"d{k}", f"g{k}", f"c{k}"):
+            gt_rows.append((f, 0.5, 1.0, "x"))
+            det_rows += [(f, 0.5, 0.8, "x"), (f, 0.25, 0.75, "y")]
+    gt_rows.append(("k", 1.9e-322, 0.5, "x"))
+    det_rows.append(("k", 2.1e-322, 0.5, "x"))
+    durations = {row[0]: 1.0 for row in gt_rows}
+    return gt_rows, det_rows, Dataset(_events(gt_rows), durations)
+
+
+def test_counts_of_subnormal_events_are_exact():
+    gt_rows, det_rows, dataset = _subnormal_instance()
+    detections = _events(det_rows)
+    probed = (0.1, 0.3, 0.5, 0.7)
+    for dtc, gtc, cttc in itertools.product(probed, probed, probed):
+        params = default_params(dtc_threshold=dtc, gtc_threshold=gtc, cttc_threshold=cttc)
+        counts = count_matrix(detections, dataset, params)
+        for c, exp in brute_force_counts(gt_rows, det_rows, dtc, gtc, cttc).items():
+            assert (counts.n_tp[c], counts.n_fp[c]) == (exp["n_tp"], exp["n_fp"]), (dtc, gtc, c)
+            assert dict(counts.cross_triggers[c]) == exp["ct"], (cttc, c)
+
+
+def test_collar_counts_of_subnormal_events_are_exact():
+    gt_rows, det_rows, dataset = _subnormal_instance()
+    detections = _events(det_rows)
+    for collar, ratio, check_offset in itertools.product(
+        (0.0, 5e-324, 2e-323, 1e-322, 4.1e-322, 0.1), (0.0, 0.5, 1.5), (False, True)
+    ):
+        params = CollarParams(collar=collar, offset_ratio=ratio, check_offset=check_offset)
+        counts = collar_counts(detections, dataset, params)
+        for c, exp in brute_force_collar(gt_rows, det_rows, collar, ratio, check_offset).items():
+            assert (counts.n_tp[c], counts.n_fp[c]) == (exp["n_tp"], exp["n_fp"]), (params, c)
+
+
+def _counted_rechecks(monkeypatch) -> list[Event]:
+    """The event of each exact recheck of a coverage check, as they happen."""
+    calls = []
+    covers = matching._covers
+
+    def counted(x, ys, threshold):
+        calls.append(x)
+        return covers(x, ys, threshold)
+
+    monkeypatch.setattr(matching, "_covers", counted)
+    return calls
+
+
+@pytest.mark.parametrize(("miss", "relevant"), [(1e-14, True), (-1e-14, False)])
+def test_a_near_tie_is_banded_by_its_own_check_not_by_the_longest_file(monkeypatch, miss, relevant):
+    # a 0.3 s detection at onset 0.1 of a 3 h file, covered 1e-14 off half its duration
+    gt_rows = [("a", 0.1, 0.25 + miss, "x")]
+    det_rows = [("a", 0.1, 0.4, "x")]
+    dataset = Dataset(_events(gt_rows), {"a": float(THREE_HOURS)})
+    rechecks = _counted_rechecks(monkeypatch)
+    counts = count_matrix(_events(det_rows), dataset, default_params(dtc_threshold=0.5))
+    assert rechecks == []
+    assert counts.n_fp["x"] == (0 if relevant else 1)
+    assert counts.n_fp["x"] == brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.3)["x"]["n_fp"]
+
+
+def test_an_exact_tie_late_in_a_long_file_is_rechecked(monkeypatch):
+    gt_rows = [("a", 10799.1, 10799.25, "x")]
+    det_rows = [("a", 10799.1, 10799.4, "x")]
+    dataset = Dataset(_events(gt_rows), {"a": float(THREE_HOURS)})
+    rechecks = _counted_rechecks(monkeypatch)
+    counts = count_matrix(_events(det_rows), dataset, default_params(dtc_threshold=0.5))
+    assert rechecks == [Event(*det_rows[0])]
+    assert counts.n_fp["x"] == 0
+    assert brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.3)["x"]["n_fp"] == 0
