@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on a data error (bad table, unknown file,
 label outside the class set, ...) or an unwritable ``--out``, 2 on a
 usage error, including a parameter that :class:`EvalParams` or
-:class:`CollarParams` rejects.
+:class:`CollarParams` rejects. A report is UTF-8 with ``\\n`` line ends,
+on stdout as in ``--out``.
 """
 
 from __future__ import annotations
@@ -157,9 +158,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = emit_report(_run(args, params, collar), args.format)
         if args.out is not None:
-            args.out.write_text(text, encoding="utf-8")
-        else:
+            args.out.write_bytes(text.encode("utf-8"))
+        elif not hasattr(sys.stdout, "buffer"):  # a text stream only, such as a StringIO
             sys.stdout.write(text)
+        else:  # the bytes of --out, whatever the stream's encoding and line ends
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
     except (SedScoreError, OSError) as exc:
         print(f"sedscore: error: {exc}", file=sys.stderr)
         return 1

@@ -30,11 +30,11 @@ import json
 import math
 import os
 from collections import Counter
-from itertools import count, filterfalse
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError
+from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, SedScoreError
 from .events import CollarParams, Dataset, EvalParams, EventSet, _validated
 from .matching import CountsMatrix, _Tally, _Verdict, _verdicts, count_matrix
 from .psdroc import PsdRoc, _staircase_rows
@@ -278,31 +278,22 @@ def load_detections(path: str | Path, dataset: Dataset) -> EventSet:
 _STEP_SHARE = 0.5
 
 
-def _first_appearances(lines: list[str], rows: list[str]) -> Iterable[tuple[int, str]]:
-    """``(line number, row)`` of where each of ``rows`` first appears in ``lines``.
+def _difference(
+    before: Counter, after: Counter, n_lines: int, repeated: list[str]
+) -> tuple[list[str], list[str], list[str], list[str], list[str]]:
+    """How a table differs from the previous one: ``(gone, fresh, left, came, repeats)``.
 
-    ``rows`` are distinct and come in the order of their first
-    appearances, so one scan of ``lines`` finds them all, and when they
-    are as many as the lines, they are the lines.
-    """
-    if len(rows) == len(lines):
-        return zip(count(2), rows)
-    numbers, at = [], 0
-    for row in rows:
-        at = lines.index(row, at)
-        numbers.append(at + 2)
-    return zip(numbers, rows)
-
-
-def _changed_rows(
-    before: Mapping[str, object], after: Mapping[str, object]
-) -> tuple[list[str], list[str]]:
-    """The rows of ``before`` that ``after`` lacks, and those of ``after`` that ``before`` lacks.
-
-    The second come in the order of ``after``. Each takes one scan of a
-    table, but the sizes say how many rows stayed: in a table that only
-    shrank or only grew, as the tables of a sweep do, one of the two is
-    seen to be empty without its scan.
+    ``before`` and ``after`` count the lines of the two tables, ``n_lines``
+    is this table's number of lines and ``repeated`` holds the rows that
+    ``before`` counts more than once. ``gone`` are the rows of ``before``
+    that ``after`` lacks, ``fresh`` those of ``after`` that ``before``
+    lacks, in its order: a table that only shrank or only grew, as the
+    tables of a sweep do, shows one of the two empty by its size, without
+    a scan. ``left`` and ``came`` are the rows that left and came, one per
+    occurrence (``gone`` and ``fresh`` from an empty ``before``, which no
+    tally is stepped from). ``repeats`` are the rows that ``after`` counts
+    more than once, looked for among ``repeated`` and ``fresh`` first: only
+    a row that stayed and gained an occurrence makes every row looked at.
     """
     if len(after) < len(before):
         gone = list(filterfalse(after.__contains__, before))
@@ -312,42 +303,23 @@ def _changed_rows(
         fresh = list(filterfalse(before.__contains__, after))
         stayed = len(after) - len(fresh)
         gone = list(filterfalse(after.__contains__, before)) if len(before) > stayed else []
-    return gone, fresh
-
-
-def _repeated(counts: Counter, n_lines: int, candidates: Iterable[str]) -> list[str]:
-    """The rows that ``counts``, a count of ``n_lines`` lines, counts more than once.
-
-    They are looked for among ``candidates`` first: the previous table's
-    repeated rows and this table's fresh ones hold them all, unless a row
-    that stayed gained an occurrence, and then every row is looked at.
-    """
-    extra = n_lines - len(counts)
-    if not extra:
-        return []
-    found = [row for row in dict.fromkeys(candidates) if counts.get(row, 0) > 1]
-    if sum(counts[row] for row in found) - len(found) == extra:
-        return found
-    return [row for row, n in counts.items() if n > 1]
-
-
-def _difference(
-    before: Counter, after: Counter, rows: Iterable[str]
-) -> tuple[list[str], list[str]]:
-    """The rows that left and came from one table to the next, one per occurrence.
-
-    ``before`` and ``after`` count the lines of the two tables, and
-    ``rows`` holds every row whose count differs between them.
-    """
+    extra = n_lines - len(after)
+    if not (repeated or extra):  # no row repeats: each that left or came did so once
+        return gone, fresh, gone, fresh, []
+    repeats = [row for row in dict.fromkeys([*repeated, *fresh]) if after.get(row, 0) > 1]
+    if sum(after[row] for row in repeats) - len(repeats) != extra:
+        repeats = [row for row, n in after.items() if n > 1]
+    if not before:
+        return gone, fresh, gone, fresh, repeats
     left: list[str] = []
     came: list[str] = []
-    for row in dict.fromkeys(rows):
+    for row in dict.fromkeys([*gone, *fresh, *repeated, *repeats]):
         n = before.get(row, 0) - after.get(row, 0)
         if n > 0:
             left += [row] * n
         elif n < 0:
             came += [row] * -n
-    return left, came
+    return gone, fresh, left, came, repeats
 
 
 def sweep_operating_points(
@@ -370,7 +342,9 @@ def sweep_operating_points(
     tables share one ``CountsMatrix`` object. Of other tables, a line
     whose exact text appeared in the previous table, or earlier in the
     same one, reuses that line's record: the tables of a threshold sweep
-    often nest, so most rows are scored once per sweep.
+    often nest, so most rows are scored once per sweep. Only the other
+    lines are parsed; a fault among them is reported as
+    :func:`load_detections` reports it, naming the table's first faulty line.
     Looking a line up costs a small fraction of scoring it, but it is paid
     on every line, so once a table reuses the record of fewer than one line
     in ten, as when every threshold moves the event edges, the remaining
@@ -400,15 +374,15 @@ def sweep_operating_points(
     # scored; None once the tables stop repeating lines
     known: dict[str, _Verdict] | None = {}
     previous = None  # the previous table's bytes
-    # the count of each line of the previous table, whose counts ``tally``
-    # holds, and the lines it repeats
+    # the count of each line of the previous table, whose records ``known``
+    # and whose counts ``tally`` hold, and the lines it repeats
     held: Counter = Counter()
     held_repeats: list[str] = []
     for name, path in tables:
         op = name[:-4] or name  # the file stem: ".tsv" names op ".tsv"
         try:
             data = _read_table(path)
-        except OSError as exc:
+        except OSError as exc:  # named as source is: e.path reads "./x.tsv" where det_dir is "."
             exc.filename = str(det_dir / name)
             raise
         if data == previous:
@@ -421,28 +395,23 @@ def sweep_operating_points(
             events = _text_events(text, source, dataset.file_durations, allowed)
             counts[op] = matrix = count_matrix(events, dataset, params)
             continue
-        compared = bool(known)  # false for the first table and after an empty one
         lines = _lines(text, EVENT_HEADER, source)
         distinct = Counter(lines)  # in the order of first appearance
-        gone, fresh = _changed_rows(known, distinct)
-        rows = _event_rows(_first_appearances(lines, fresh), source, text.isascii())
+        gone, fresh, left, came, repeats = _difference(held, distinct, len(lines), held_repeats)
+        rows = _event_rows(zip(repeat(None), fresh), source, text.isascii())
         events = _validated(rows, dataset.file_durations, allowed, source)
-        known.update(zip(fresh, _verdicts(events, dataset, params)))
-        repeats = _repeated(distinct, len(lines), [*held_repeats, *fresh])
-        # the rows that left and came, one per occurrence, are at least the distinct ones
-        most = _STEP_SHARE * len(lines)
-        step = compared and len(gone) + len(fresh) <= most
-        if step:
-            left, came = gone, fresh
-            if repeats or held_repeats:
-                left, came = _difference(held, distinct, [*gone, *fresh, *held_repeats, *repeats])
-            step = len(left) + len(came) <= most
-        if step:
+        try:
+            known.update(zip(fresh, _verdicts(events, dataset, params)))
+        except SedScoreError:
+            # fresh rows carry no line numbers: the table's own load names the first faulty line
+            _text_events(text, source, dataset.file_durations, allowed)
+            raise
+        if held and len(left) + len(came) <= _STEP_SHARE * len(lines):
             tally.step([known[row] for row in left], [known[row] for row in came])
         else:
             tally = _Tally(map(known.__getitem__, lines), dataset, params)
         counts[op] = matrix = tally.counts()
-        if compared and 10 * (len(lines) - len(fresh)) < len(lines):
+        if held and 10 * (len(lines) - len(fresh)) < len(lines):
             known = None
         else:
             for line in gone:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,23 @@ class TestCounts:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"sedscore: error: {det}:3: byte 0xe9 is not valid UTF-8\n"
+
+    def test_a_non_ascii_label_reaches_an_ascii_stdout_as_the_bytes_of_out(
+        self, tmp_path, monkeypatch
+    ):
+        rows = [("f1", 0.0, 10.0, "chiené"), ("f1", 20.0, 30.0, "dog")]
+        write_event_table(tmp_path / "gt.tsv", rows)
+        write_event_table(tmp_path / "det.tsv", rows[:1])
+        (tmp_path / "durations.tsv").write_text("filename\tduration\nf1\t60\n", encoding="utf-8")
+        argv = ["counts", *map(str, common(tmp_path)), "--det", str(tmp_path / "det.tsv")]
+        argv += ["--format", "tsv"]
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert main([*argv, "--out", str(tmp_path / "report.tsv")]) == 0
+        written = stdout.buffer.getvalue()
+        assert written == (tmp_path / "report.tsv").read_bytes()
+        assert "\nchiené\t1\t1\t1\t0\n".encode() in written
 
     def test_unknown_flag_exits_2(self, workspace):
         with pytest.raises(SystemExit) as exc:
@@ -322,10 +341,15 @@ class TestSweepTables:
         assert err == _os_error(errno.EACCES, Path("ops", "x.tsv"))
 
     def test_current_directory_names_a_table_by_its_bare_name(self, workspace, capsys, monkeypatch):
-        (workspace / "ops" / "x.tsv").write_text("not a header\n", encoding="utf-8")
+        # a fault of the table and one of its read alike: the scan would name it ./x.tsv
+        table = workspace / "ops" / "x.tsv"
+        table.write_text("not a header\n", encoding="utf-8")
         monkeypatch.chdir(workspace / "ops")
         err = self.psds_error(workspace, capsys, ".")
         assert err == f"sedscore: error: x.tsv:1: expected header '{HEADER}'\n"
+        table.unlink()
+        table.mkdir()
+        assert self.psds_error(workspace, capsys, ".") == _os_error(errno.EISDIR, "x.tsv")
 
     def test_absolute_directory_names_a_table_by_its_absolute_path(self, workspace, capsys):
         (workspace / "ops" / "x.tsv").write_text("not a header\n", encoding="utf-8")

@@ -380,6 +380,19 @@ def test_a_row_that_leaves_takes_out_an_equal_event_of_other_text(tmp_path, monk
     assert n_tp[0] - n_tp[1] == n_tp[2] - n_tp[3] == 1
 
 
+def test_a_table_that_shrinks_while_a_row_comes_is_stepped(tmp_path, monkeypatch):
+    # op_1 loses 3 rows, one of them over ground truth, and gains one over
+    # another ground truth: both the rows that left and the one that came count
+    tables = [MANY[1:], [MANY[0], *MANY[3:-1]]]
+    assert _tallies(tmp_path, monkeypatch, tables) == ["recount", "step"]
+
+
+def test_a_table_that_grows_while_a_row_leaves_is_stepped(tmp_path, monkeypatch):
+    # op_1 gains 3 rows and loses one over ground truth
+    tables = [MANY[:-3], MANY[1:]]
+    assert _tallies(tmp_path, monkeypatch, tables) == ["recount", "step"]
+
+
 def test_a_difference_beyond_the_step_share_is_tallied_from_scratch(tmp_path, monkeypatch):
     # op_1 loses 9 rows of 15, more than the share of its 6; op_2 loses 2
     # of 6, exactly the share of its 4
