@@ -79,6 +79,11 @@ class Event:
         if onset < 0:
             raise NegativeOnset(f"onset {onset} of '{class_label}' in '{file_id}' is negative")
         if not offset > onset:
+            for what, value in (("onset", onset), ("offset", offset)):
+                if math.isnan(value):
+                    raise ValidationError(
+                        f"{what} {value} of '{class_label}' in '{file_id}' is not a number"
+                    )
             raise NonPositiveDuration(
                 f"event '{class_label}' [{onset}, {offset}] in "
                 f"'{file_id}' has non-positive duration"
@@ -354,8 +359,9 @@ class Dataset:
     def _of_placed(cls, ground_truth: EventSet, file_durations: Mapping[str, float]) -> "Dataset":
         """``Dataset(ground_truth, file_durations)`` of events already placed in those files.
 
-        :func:`_validated` checks each event's placement as it reads the
-        event's row, so that the message names the line; the events are not
+        The table loaders check each event's placement, over whole columns
+        or, in a table that fails a check, in :func:`_validated` as it reads
+        each row, so that the message names the line; the events are not
         checked a second time here.
         """
         dataset = object.__new__(cls)

@@ -5,23 +5,25 @@ values with a mandatory header, one event per row, decimal seconds. The
 loaders skip a leading byte-order mark, which spreadsheet exports often
 carry, and report a byte that is not UTF-8 as a parse error naming its
 line. Lines end at ``\n``, with one ``\r`` before it dropped, so line
-numbers are the file's own. A number cell is a plain decimal: one with an
-underscore or a non-ASCII character, which ``float`` would read, is not a
-number. ``load_dataset`` and ``load_detections`` turn each row into a
-validated event in one pass, so of several faulty rows the first is
-reported. Every table is read by one ``os.read`` sized by
-the file's size. A sweep is a directory with one detection table per
-operating point, listed by one directory scan and taken in name order;
-the file stem names the operating point. A table whose bytes, compared
-before they are decoded, are those of the previous table reuses that
-table's counts. Tables often nest, so a row whose exact text appeared in
-the previous table, or earlier in the same one, reuses that row's match
-record instead of being parsed, validated and matched again, until a
-table reuses too few rows to pay for the lookups. While it does, a table
-that differs from the previous one in a few rows, in any order, gets its
-counts by stepping the previous table's tally by the rows that left and
-came. Parsing is strict and fail-fast so a half-read sweep can never
-silently skew a score.
+numbers are the file's own. A number cell is a plain decimal: one with
+an underscore or a non-ASCII character, which ``float`` would read, is
+not a number. The loaders check a table column by column, each rule once
+over a whole column; a table that fails a check is read again row by
+row, which names its first faulty line, so of several faulty rows the
+first is reported. Every table is read by one ``os.read`` sized by the
+file's size, and read on where the system returns less. A sweep is a
+directory with one detection table per operating point, listed by one
+directory scan and taken in name order; the file stem names the
+operating point. A table whose bytes, compared before they are decoded,
+are those of the previous table reuses that table's counts. Tables often
+nest, so a row whose exact text appeared in the previous table, or
+earlier in the same one, reuses that row's match record instead of being
+parsed, validated and matched again, until a table reuses too few rows
+to pay for the lookups. While it does, a table that differs from the
+previous one in a few rows, in any order, gets its counts by stepping
+the previous table's tally by the rows that left and came. Parsing is
+strict and fail-fast so a half-read sweep can never silently skew a
+score.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import math
 import os
 from collections import Counter
 from itertools import filterfalse, repeat
+from operator import gt
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, SedScoreError
-from .events import CollarParams, Dataset, EvalParams, EventSet, _validated
+from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, ValidationError
+from .events import CollarParams, Dataset, EvalParams, Event, EventSet, _validated
 from .matching import CountsMatrix, _Tally, _Verdict, _verdicts, count_matrix
 from .psdroc import PsdRoc, _staircase_rows
 from .rates import ClassRates, F1Report
@@ -97,15 +100,18 @@ def _read_table(path: str) -> bytes:
     """A table file's bytes, as they are on disk.
 
     One read sized by the file's size plus one byte finds the end of a
-    file that does not grow meanwhile; a read that fills that size goes
-    on to the end. A fault of the read names ``path``, as one of the open
+    file that does not grow meanwhile. A read of any other length than the
+    file's size goes on until a read returns nothing: the file grew or has
+    no size, such as a pipe, or the system returned less than was asked,
+    as Linux does past 0x7ffff000 bytes and some network filesystems do
+    at any size. A fault of the read names ``path``, as one of the open
     does.
     """
     fd = os.open(path, _READ_FLAGS)
     try:
-        size = os.fstat(fd).st_size + 1
-        data = os.read(fd, size)
-        if len(data) == size:  # the file grew, or has no size, such as a pipe
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) != size:
             chunks = [data]
             while chunk := os.read(fd, 1 << 16):
                 chunks.append(chunk)
@@ -197,10 +203,95 @@ def _event_rows(
         yield filename, onset, offset, label, lineno
 
 
+# deletes every character a number cell may hold, so that any left is a fault
+_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+
+
+def _columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The ``width`` columns of a table's lines, or None if a line has another number of fields.
+
+    Each line is counted on its own: a short line and a long one could
+    hold the right number of tabs between them and split into other rows.
+    """
+    if not set(map(str.count, lines, repeat("\t"))) <= {width - 1}:
+        return None
+    cells = "\t".join(lines).split("\t") if lines else []
+    return [cells[i::width] for i in range(width)]
+
+
+def _column_numbers(cells: list[str]) -> list[float] | None:
+    """The floats of a number column, or None if a cell is not a finite plain decimal.
+
+    The rule of :func:`_parse_number` over a whole column: a cell of the
+    characters ``0-9 . e E + -`` only (no underscore, whitespace,
+    non-ASCII digit, ``inf`` or ``nan``) that ``float`` reads to a finite
+    value, which ``1e999`` is not.
+    """
+    if "".join(cells).translate(_NUMBER_CHARS):
+        return None
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def _column_durations(lines: list[str]) -> dict[str, float] | None:
+    """The filename -> seconds map of a durations table's lines, or None if a check fails."""
+    columns = _columns(lines, 2)
+    if columns is None:
+        return None
+    files, cells = columns
+    values = _column_numbers(cells)
+    if values is None or "" in files or (values and not min(values) > 0):
+        return None
+    durations = dict(zip(files, values))
+    return durations if len(durations) == len(lines) else None  # else a filename repeats
+
+
+def _column_events(
+    lines: list[str], file_durations: Mapping[str, float], allowed: frozenset[str] | None
+) -> tuple[Event, ...] | None:
+    """The validated events of an event table's lines, or None if a check fails.
+
+    Checks each rule of the row loop (:func:`_event_rows` and
+    :func:`events._validated`) once over a whole column, and each distinct
+    label and filename once, so it accepts exactly the tables that loop
+    accepts and gives the same events; which fault a rejected table holds,
+    and on which line, is left to that loop. ``Event`` checks each event's
+    onset and duration itself.
+    """
+    columns = _columns(lines, 4)
+    if columns is None:
+        return None
+    files, onset_cells, offset_cells, labels = columns
+    onsets = _column_numbers(onset_cells)
+    offsets = _column_numbers(offset_cells)
+    if onsets is None or offsets is None:
+        return None
+    names, kinds = set(files), set(labels)
+    if "" in names or not all(map(file_durations.__contains__, names)):
+        return None
+    if "" in kinds or list(kinds) != list(map(str.strip, kinds)):
+        return None
+    if allowed is not None and not kinds <= allowed:
+        return None
+    if any(map(gt, offsets, map(file_durations.__getitem__, files))):
+        return None
+    try:
+        return tuple(map(Event, files, onsets, offsets, labels))
+    except ValidationError:
+        return None
+
+
 def _text_durations(text: str, source: str) -> dict[str, float]:
     """The filename -> seconds map of a durations table's text."""
-    durations: dict[str, float] = {}
-    numbered = enumerate(_lines(text, DURATIONS_HEADER, source), 2)
+    lines = _lines(text, DURATIONS_HEADER, source)
+    durations = _column_durations(lines)
+    if durations is not None:
+        return durations
+    durations = {}
+    numbered = enumerate(lines, 2)
     ascii = text.isascii()
     for lineno, (filename, dur_raw) in _rows(numbered, DURATIONS_HEADER, source):
         if filename in durations:
@@ -247,9 +338,17 @@ def _text_events(
     file_durations: Mapping[str, float],
     allowed: frozenset[str] | None,
 ) -> EventSet:
-    """The validated events of an event table's text."""
-    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source, text.isascii())
-    return EventSet(tuple(_validated(rows, file_durations, allowed, source)))
+    """The validated events of an event table's text, read by columns unless a check fails.
+
+    A table that fails a column check is read again by the row loop, which
+    raises the fault of its first faulty line.
+    """
+    lines = _lines(text, EVENT_HEADER, source)
+    events = _column_events(lines, file_durations, allowed)
+    if events is None:
+        rows = _event_rows(enumerate(lines, 2), source, text.isascii())
+        events = tuple(_validated(rows, file_durations, allowed, source))
+    return EventSet(events)
 
 
 def load_dataset(gt_path: str | Path, durations_path: str | Path) -> Dataset:
@@ -343,8 +442,10 @@ def sweep_operating_points(
     whose exact text appeared in the previous table, or earlier in the
     same one, reuses that line's record: the tables of a threshold sweep
     often nest, so most rows are scored once per sweep. Only the other
-    lines are parsed; a fault among them is reported as
-    :func:`load_detections` reports it, naming the table's first faulty line.
+    lines are read, column by column as :func:`load_detections` reads a
+    table; a table with a fault among them is read again row by row, which
+    reports the fault as :func:`load_detections` does, naming the table's
+    first faulty line.
     Looking a line up costs a small fraction of scoring it, but it is paid
     on every line, so once a table reuses the record of fewer than one line
     in ten, as when every threshold moves the event edges, the remaining
@@ -398,14 +499,11 @@ def sweep_operating_points(
         lines = _lines(text, EVENT_HEADER, source)
         distinct = Counter(lines)  # in the order of first appearance
         gone, fresh, left, came, repeats = _difference(held, distinct, len(lines), held_repeats)
-        rows = _event_rows(zip(repeat(None), fresh), source, text.isascii())
-        events = _validated(rows, dataset.file_durations, allowed, source)
-        try:
+        if fresh:
+            events = _column_events(fresh, dataset.file_durations, allowed)
+            if events is None:  # a fresh row is faulty: the table's own load names its line
+                _text_events(text, source, dataset.file_durations, allowed)
             known.update(zip(fresh, _verdicts(events, dataset, params)))
-        except SedScoreError:
-            # fresh rows carry no line numbers: the table's own load names the first faulty line
-            _text_events(text, source, dataset.file_durations, allowed)
-            raise
         if held and len(left) + len(came) <= _STEP_SHARE * len(lines):
             tally.step([known[row] for row in left], [known[row] for row in came])
         else:

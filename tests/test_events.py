@@ -96,6 +96,29 @@ class TestEventInvariants:
         assert "'clip_7'" in str(err.value)
         assert "'siren'" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "make, what",
+        [
+            (lambda: ev(math.nan, 1.0, "f", "x"), "onset"),
+            (lambda: ev(0.0, math.nan, "f", "x"), "offset"),
+            (lambda: ev(math.nan, math.nan, "f", "x"), "onset"),
+            (lambda: dataclasses.replace(ev(0.0, 1.0, "f", "x"), offset=math.nan), "offset"),
+        ],
+        ids=["onset", "offset", "both", "replace"],
+    )
+    def test_a_nan_time_is_not_a_number(self, make, what):
+        # not a non-positive duration, which NaN's false comparisons would make it
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert type(err.value) is ValidationError
+        assert str(err.value) == f"{what} nan of 'x' in 'f' is not a number"
+
+    def test_a_nan_row_from_code_names_its_line(self):
+        with pytest.raises(ValidationError) as err:
+            validate_events([TableRow("f", 0.0, math.nan, "x", 3)], {"f": 10.0})
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "offset nan of 'x' in 'f' is not a number (line 3)"
+
 
 class TestEventValue:
     """``Event``'s own constructor keeps what a generated frozen dataclass gives."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -176,6 +177,23 @@ class TestParseDurationsTable:
         with pytest.raises(BadRow, match=r"<input>:3: expected 2 tab-separated fields, got 1"):
             text_durations("filename\tduration\nf1\t10\n\nf2\t5\n")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("f1\t10\nf2\t5\nf1\t10\n", "<input>:4: duplicate filename 'f1'"),
+            ("f1\t10\nf2\t-0\n", "<input>:3: duration must be > 0, got -0"),
+            ("f1\t10\nf2\t1e999\n", "<input>:3: duration '1e999' is not finite"),
+            ("f1\t10\nf2\n5\tf3\t5\n", "<input>:3: expected 2 tab-separated fields, got 1"),
+            ("\t10\nf2\t5\n", "<input>:2: empty filename"),
+        ],
+        ids=["duplicate", "negative-zero", "overflow", "fields-across-two-rows", "empty-filename"],
+    )
+    def test_a_column_fault_names_its_line(self, rows, message):
+        # the column checks refuse the table; the row loop names the faulty line
+        with pytest.raises(BadRow) as err:
+            text_durations(f"filename\tduration\n{rows}")
+        assert str(err.value) == message
+
 
 def write_tables(tmp_path, gt_rows, durations):
     gt = tmp_path / "gt.tsv"
@@ -205,16 +223,23 @@ def write_detections(path, rows):
 
 class TestLoadDataset:
     def test_places_each_ground_truth_row_once(self, tmp_path, monkeypatch):
-        # the row loop places each event as it reads it, so that a fault names
-        # its line; the dataset built from those events does not place them again
+        # the loader places each row once, as a column, and the dataset built
+        # from its events places none again; only a faulty table goes through
+        # the row loop, which places each event as it reads it to name the line
         placed = []
         check = events._check_placement
         monkeypatch.setattr(
             events, "_check_placement", lambda ev, *args: placed.append(ev) or check(ev, *args)
         )
         rows = [("f1", 0.0, 10.0, "dog"), ("f2", 1.0, 2.0, "cat"), ("f1", 5.0, 6.0, "dog")]
-        dataset = load_dataset(*write_tables(tmp_path, rows, {"f1": 60.0, "f2": 30.0}))
-        assert placed == list(dataset.ground_truth)
+        durations = {"f1": 60.0, "f2": 30.0}
+        dataset = load_dataset(*write_tables(tmp_path, rows, durations))
+        assert list(dataset.ground_truth) == [Event(*row) for row in rows]
+        assert placed == []
+        rows.append(("f2", 29.0, 31.0, "cat"))
+        with pytest.raises(EventExceedsFileDuration, match=r"\(.*gt\.tsv, line 5\)$"):
+            load_dataset(*write_tables(tmp_path, rows, durations))
+        assert placed == [Event(*row) for row in rows]
 
     def test_loaded_ground_truth_is_placed_again_in_a_dataset_built_in_code(self, tmp_path):
         loaded = load_dataset(*write_tables(tmp_path, [("f1", 0.0, 10.0, "dog")], {"f1": 60.0}))
@@ -390,6 +415,47 @@ class TestSweep:
         (ops / "broken.tsv").write_text("not a header\n", encoding="utf-8")
         with pytest.raises(MalformedHeader, match="broken.tsv"):
             sweep_operating_points(ops, dataset, default_params())
+
+    def test_a_short_read_is_read_on_to_the_end(self, tmp_path, monkeypatch):
+        # a read may return less than it was asked for, as Linux does past
+        # 0x7ffff000 bytes and some network filesystems do at any size
+        gt_rows = [("f1", 0.0, 10.0, "dog"), ("f1", 20.0, 30.0, "cat"), ("f2", 5.0, 9.0, "dog")]
+        dataset = load_dataset(*write_tables(tmp_path, gt_rows, {"f1": 60.0, "f2": 30.0}))
+        ops = tmp_path / "ops"
+        ops.mkdir()
+        rows = [("f1", 1.0, 9.0, "dog"), ("f1", 21.0, 28.0, "dog"), ("f2", 5.5, 8.0, "dog")]
+        for i in range(4):
+            write_detections(ops / f"op_{i}.tsv", rows[i % 2 :] + [("f1", 40.0, 41.0 + i, "cat")])
+        uncapped = sweep_operating_points(ops, dataset, default_params())
+        loaded = load_detections(ops / "op_0.tsv", dataset)
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 7)))
+        assert sweep_operating_points(ops, dataset, default_params()) == uncapped
+        assert load_detections(ops / "op_0.tsv", dataset) == loaded
+        assert load_dataset(tmp_path / "gt.tsv", tmp_path / "durations.tsv") == dataset
+
+    def test_every_table_read_closes_its_file(self, tmp_path, monkeypatch):
+        # os.open gives a bare descriptor, which no ResourceWarning reports if left open
+        dataset, ops = self.setup_sweep(tmp_path)
+        (ops / "op_1.0.tsv").mkdir()
+        opened, os_open, os_close = set(), os.open, os.close
+
+        def tracked_open(*args, **kwargs):
+            fd = os_open(*args, **kwargs)
+            opened.add(fd)
+            return fd
+
+        def tracked_close(fd):
+            opened.discard(fd)
+            os_close(fd)
+
+        monkeypatch.setattr(os, "open", tracked_open)
+        monkeypatch.setattr(os, "close", tracked_close)
+        load_dataset(tmp_path / "gt.tsv", tmp_path / "durations.tsv")
+        load_detections(ops / "op_0.0.tsv", dataset)
+        with pytest.raises(OSError):
+            sweep_operating_points(ops, dataset, default_params())
+        assert not opened
 
     def test_unknown_label_aborts_naming_file(self, tmp_path):
         dataset, ops = self.setup_sweep(tmp_path, n_ops=1)
