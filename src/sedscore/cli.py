@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on a data error (bad table, unknown file,
-label outside the class set, ...) or an unwritable ``--out``, 2 on a
-usage error, including a parameter that :class:`EvalParams` or
-:class:`CollarParams` rejects. A report is UTF-8 with ``\\n`` line ends,
-on stdout as in ``--out``.
+label outside the class set, ...), an unwritable ``--out`` or a JSON
+report value that overflowed to infinity, 2 on a usage error, including
+a parameter that :class:`EvalParams` or :class:`CollarParams` rejects.
+A report is UTF-8 with ``\\n`` line ends, on stdout as in ``--out``.
 """
 
 from __future__ import annotations
@@ -156,7 +156,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        text = emit_report(_run(args, params, collar), args.format)
+        report = _run(args, params, collar)
+        try:
+            text = emit_report(report, args.format)
+        except ValueError as exc:  # an extreme weight can overflow a value to inf
+            print(f"sedscore: error: the report cannot be written as JSON: {exc}", file=sys.stderr)
+            return 1
         if args.out is not None:
             args.out.write_bytes(text.encode("utf-8"))
         elif not hasattr(sys.stdout, "buffer"):  # a text stream only, such as a StringIO

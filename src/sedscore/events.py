@@ -288,9 +288,11 @@ def _validated(
 ) -> Iterator[Event]:
     """Yield the checked event of each ``(file_id, onset, offset, label, line)`` row.
 
-    The one loop from row to event: a fault is re-raised with ``source``
-    and the row's line appended, and of several faulty rows the first one
-    is reported.
+    The row loop's last step: it serves :func:`validate_events`, and a
+    table loader once a column check fails. Every rule has one message,
+    raised by :class:`Event`, :func:`_check_placement` or the row loop; a
+    fault is re-raised with ``source`` and the row's line appended, and of
+    several faulty rows the first one is reported.
     """
     line = None
     try:

@@ -72,16 +72,15 @@ class TableRow(NamedTuple):
     line: int
 
 
-def _parse_number(raw: str, what: str, line: int, name: str, ascii: bool) -> float:
+def _parse_number(raw: str, what: str, line: int, name: str) -> float:
     """The finite float a number cell holds.
 
     ``float`` also takes digit-group underscores, non-ASCII digits and
     surrounding whitespace, so ``1_0`` would read 10.0, ``١٢`` 12.0 and
     ``' 1.5 '`` 1.5; such a cell is not a number, as a padded label is
-    refused. ``ascii`` says the whole table is ASCII, so no cell needs
-    the ASCII check.
+    refused.
     """
-    if "_" in raw or raw != raw.strip() or not (ascii or raw.isascii()):
+    if "_" in raw or raw != raw.strip() or not raw.isascii():
         raise BadRow(f"{name}:{line}: {what} '{raw}' is not a number")
     try:
         value = float(raw)
@@ -163,14 +162,14 @@ def _lines(text: str, header: tuple[str, ...], name: str) -> list[str]:
 
 
 def _rows(
-    numbered: Iterable[tuple[int, str]], header: tuple[str, ...], name: str
+    lines: Iterable[str], header: tuple[str, ...], name: str
 ) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, fields)`` for each numbered line of a table.
+    """Yield ``(line number, fields)`` for each data line of a table; the first is line 2.
 
     Checks that every row has one field per header column and a non-empty
     filename; an empty line is a :class:`BadRow` naming its line.
     """
-    for lineno, line in numbered:
+    for lineno, line in enumerate(lines, 2):
         fields = line.split("\t")
         if len(fields) != len(header):
             raise BadRow(
@@ -181,25 +180,22 @@ def _rows(
         yield lineno, fields
 
 
-def _event_rows(
-    numbered: Iterable[tuple[int, str]], name: str, ascii: bool
-) -> Iterator[tuple[str, float, float, str, int]]:
-    """Yield ``(filename, onset, offset, label, line)`` for each numbered line of an event table.
+def _event_rows(lines: Iterable[str], name: str) -> Iterator[tuple[str, float, float, str, int]]:
+    """Yield ``(filename, onset, offset, label, line)`` for each data line of an event table.
 
     The row rules of an event table: a label that is not empty and has no
     leading or trailing whitespace, which would otherwise silently make it
-    a class of its own, and a finite onset and offset. ``ascii`` says
-    whether the table's text is ASCII (:func:`_parse_number`).
+    a class of its own, and a finite onset and offset.
     """
-    for lineno, (filename, onset_raw, offset_raw, label) in _rows(numbered, EVENT_HEADER, name):
+    for lineno, (filename, onset_raw, offset_raw, label) in _rows(lines, EVENT_HEADER, name):
         if not label:
             raise BadRow(f"{name}:{lineno}: empty event_label")
         if label != label.strip():
             raise BadRow(
                 f"{name}:{lineno}: event_label {label!r} has leading or trailing whitespace"
             )
-        onset = _parse_number(onset_raw, "onset", lineno, name, ascii)
-        offset = _parse_number(offset_raw, "offset", lineno, name, ascii)
+        onset = _parse_number(onset_raw, "onset", lineno, name)
+        offset = _parse_number(offset_raw, "offset", lineno, name)
         yield filename, onset, offset, label, lineno
 
 
@@ -291,12 +287,10 @@ def _text_durations(text: str, source: str) -> dict[str, float]:
     if durations is not None:
         return durations
     durations = {}
-    numbered = enumerate(lines, 2)
-    ascii = text.isascii()
-    for lineno, (filename, dur_raw) in _rows(numbered, DURATIONS_HEADER, source):
+    for lineno, (filename, dur_raw) in _rows(lines, DURATIONS_HEADER, source):
         if filename in durations:
             raise BadRow(f"{source}:{lineno}: duplicate filename '{filename}'")
-        duration = _parse_number(dur_raw, "duration", lineno, source, ascii)
+        duration = _parse_number(dur_raw, "duration", lineno, source)
         if not duration > 0:
             raise BadRow(f"{source}:{lineno}: duration must be > 0, got {dur_raw}")
         durations[filename] = duration
@@ -318,7 +312,7 @@ def load_event_table(path: str | Path) -> list[TableRow]:
     which read and validate in one pass, are preferred.
     """
     text, source = _table_text(path)
-    rows = _event_rows(enumerate(_lines(text, EVENT_HEADER, source), 2), source, text.isascii())
+    rows = _event_rows(_lines(text, EVENT_HEADER, source), source)
     return list(map(TableRow._make, rows))
 
 
@@ -346,7 +340,7 @@ def _text_events(
     lines = _lines(text, EVENT_HEADER, source)
     events = _column_events(lines, file_durations, allowed)
     if events is None:
-        rows = _event_rows(enumerate(lines, 2), source, text.isascii())
+        rows = _event_rows(lines, source)
         events = tuple(_validated(rows, file_durations, allowed, source))
     return EventSet(events)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -59,12 +58,8 @@ class ClassCurve:
     class_label: str
     breakpoints: tuple[tuple[float, float], ...]
 
-    @cached_property
-    def _efprs(self) -> tuple[float, ...]:
-        return tuple(e for e, _ in self.breakpoints)
-
     def value_at(self, efpr: float) -> float:
-        idx = bisect.bisect_right(self._efprs, efpr)
+        idx = bisect.bisect_right(self.breakpoints, efpr, key=itemgetter(0))
         if idx == 0:
             return 0.0
         return self.breakpoints[idx - 1][1]
@@ -221,12 +216,10 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
     """The PSD-ROC of each op's class values; ops may share one values object.
 
     A run of ops, in op-id order, that share one values object gives out
-    each class's points in one step. Each class's curve is built from the
-    first point, in op-id order, of each of its distinct (eFPR, TP ratio)
-    pairs. Equal pairs are kept or dropped together by :func:`pareto_filter`,
-    and :func:`staircase` keeps the first of them in sorted order, which is
-    the first in op-id order: its values, signed zeros included, are the
-    ones a curve built from every point holds. A NaN eFPR, which no order
+    each class's points in one step. Each class's curve is built from its
+    distinct (eFPR, TP ratio) pairs, each with the values, signed zeros
+    included, of the first op in op-id order that holds it; a curve keeps
+    no op id, so it is the curve of every point. A NaN eFPR, which no order
     can place, or a negative one, which would lift the curve from eFPR 0
     on, is a ``ValueError`` naming the first op, in op-id order, and the
     class that hold one; ``-0.0`` is a valid eFPR.
@@ -243,8 +236,8 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
     if len(class_sets) != 1:
         raise ValueError("operating points disagree on the class set")
     columns: dict[str, list[OpPoint]] = {c: [] for c in class_sets.pop()}
-    # (efpr, tp_ratio) -> the first op holding it; a dict keeps its first key's objects
-    firsts: dict[str, dict[tuple[float, float], str]] = {c: {} for c in columns}
+    # each class's distinct (efpr, tp_ratio); a dict keeps its first key's objects
+    pairs: dict[str, dict[tuple[float, float], None]] = {c: {} for c in columns}
     for values, ops in runs:
         for c, efpr, tp_ratio in values:
             if not efpr >= 0:  # NaN sorts nowhere; a negative eFPR lies left of the curve
@@ -253,12 +246,9 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
             # tuple.__new__ makes each OpPoint without NamedTuple's Python-level __new__
             points = zip(repeat(efpr), repeat(tp_ratio), ops)
             columns[c].extend(map(tuple.__new__, repeat(OpPoint), points))
-            firsts[c].setdefault((efpr, tp_ratio), ops[0])
+            pairs[c].setdefault((efpr, tp_ratio))
     op_points = {c: tuple(points) for c, points in columns.items()}
-    curves = {
-        c: staircase(pareto_filter([OpPoint(*pair, op) for pair, op in pairs.items()]), c)
-        for c, pairs in firsts.items()
-    }
+    curves = {c: staircase(pareto_filter([OpPoint(*p) for p in pairs[c]]), c) for c in pairs}
     return merge_psd_roc(
         curves, params.alpha_st, params.max_efpr, clamp=clamp, params=params, op_points=op_points
     )

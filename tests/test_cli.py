@@ -356,3 +356,33 @@ class TestSweepTables:
         ops = (workspace / "ops").absolute()
         err = self.psds_error(workspace, capsys, ops)
         assert err == f"sedscore: error: {ops / 'x.tsv'}:1: expected header '{HEADER}'\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_TABLES = ["--gt", GOLDEN / "gt.tsv", "--durations", GOLDEN / "durations.tsv"]
+OVERFLOWS = [
+    # a finite weight: the eFPR overflows
+    (["counts", "--det", GOLDEN / "det.tsv", "--alpha-ct", "1e308"], "inf"),
+    # the merged values are finite, the area overflows
+    (["psds", "--det-dir", GOLDEN / "ops", "--alpha-st", "1e308", "--no-clamp"], "-inf"),
+]
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv, value", OVERFLOWS, ids=["counts-efpr", "psds-area"])
+def test_a_value_json_cannot_hold_exits_1_naming_it(tmp_path, capsys, argv, value, out):
+    out_path = tmp_path / "report.json"
+    extra = ["--out", out_path] if out else []
+    assert main([str(a) for a in [*argv, *GOLDEN_TABLES, *extra]]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("sedscore: error: the report cannot be written as JSON: ")
+    assert err.endswith(f": {value}\n") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, value", OVERFLOWS, ids=["counts-efpr", "psds-area"])
+def test_tsv_writes_a_value_json_cannot_hold(capsys, argv, value):
+    code, out = run(capsys, *argv, *GOLDEN_TABLES, "--format", "tsv")
+    assert code == 0
+    assert f"\t{value}\n" in out
