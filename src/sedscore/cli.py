@@ -10,6 +10,7 @@ A report is UTF-8 with ``\\n`` line ends, on stdout as in ``--out``.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -155,6 +156,11 @@ def main(argv: list[str] | None = None) -> int:
         params, collar = _eval_params(args), _collar_params(args)
     except ValueError as exc:
         parser.error(str(exc))
+    # The run builds no reference cycles, so reference counting frees all of it and
+    # the collector's passes over its many small objects are pure cost. The process
+    # is the CLI's own; a library call leaves the collector alone.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         report = _run(args, params, collar)
         try:
@@ -172,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SedScoreError, OSError) as exc:
         print(f"sedscore: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -268,10 +268,13 @@ def psd_roc_from_counts(
     exception, equals that of :func:`psd_roc_from_rates` on
     :func:`sedscore.rates.compute_rates` of each op, without building the
     per-class rate objects: the ops are taken in mapping order, so the
-    first faulty op is the one named. The sweep gives identical
-    consecutive tables one shared ``CountsMatrix`` object; an op whose
-    counts are the same object as those of the op before it, in mapping
-    order, reuses that op's class values.
+    first faulty op is the one named. Each op's counts are compared with
+    the previous op's: with the same class tuple, a class whose ``n_gt``,
+    ``n_tp``, ``n_fp`` and cross-trigger counts (in their order) are all
+    equal keeps its values, which passed the same checks one op earlier,
+    and only the other classes are computed. An op that differs in no
+    class, such as the shared ``CountsMatrix`` object the sweep gives
+    identical consecutive tables, reuses the previous op's values whole.
     """
     if not counts_by_op:
         raise ValueError("psd_roc_from_counts needs at least one operating point")
@@ -279,12 +282,32 @@ def psd_roc_from_counts(
     values_by_op: dict[str, _OpValues] = {}
     previous = None  # the counts of the previous op, whose values are in ``values``
     for op, counts in counts_by_op.items():
-        if counts is not previous:
-            previous = counts
+        if previous is None or counts.classes != previous.classes:
             rows = _class_values(counts, total_units, label_units, params.alpha_ct)
             values = [(c, efpr, tp_ratio) for c, tp_ratio, _, _, efpr in rows]
+        elif counts is not previous:
+            changed = [c for c in counts.classes if not _same_class_counts(previous, counts, c)]
+            if changed:
+                rows = _class_values(counts, total_units, label_units, params.alpha_ct, changed)
+                fresh = {c: (c, efpr, tp_ratio) for c, tp_ratio, _, _, efpr in rows}
+                values = [fresh.get(row[0], row) for row in values]
+        previous = counts
         values_by_op[op] = values
     return _psd_roc(values_by_op, params, clamp)
+
+
+def _same_class_counts(before: CountsMatrix, after: CountsMatrix, c: str) -> bool:
+    """Whether every count that class ``c``'s values read is the same in both.
+
+    The cross-trigger counts are compared in their order too, which is the
+    order the eFPR adds their rates in.
+    """
+    return (
+        before.n_gt[c] == after.n_gt[c]
+        and before.n_tp[c] == after.n_tp[c]
+        and before.n_fp[c] == after.n_fp[c]
+        and list(before.cross_triggers[c].items()) == list(after.cross_triggers[c].items())
+    )
 
 
 def psd_roc_from_rates(

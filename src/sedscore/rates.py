@@ -139,16 +139,19 @@ def _class_values(
     total_units: float,
     label_units: Mapping[str, float],
     alpha_ct: float,
+    classes: Iterable[str] | None = None,
 ) -> Iterator[tuple[str, float, float, dict[str, float], float]]:
     """Yield each class's ``(class, tp_ratio, fp_rate, ct_rates, efpr)``.
 
-    Each class is checked before its rates are taken, so the first faulty
-    class, in class order, is the one named: a class with no ground truth,
-    then a cross-triggered class with no labelled duration, then a
-    cross-trigger weight on a single class.
+    The classes are ``classes``, by default all of ``counts.classes``, in
+    the order given; the cross-trigger mean still divides by the number of
+    other classes in ``counts.classes``. Each class is checked before its
+    rates are taken, so the first faulty class, in that order, is the one
+    named: a class with no ground truth, then a cross-triggered class with
+    no labelled duration, then a cross-trigger weight on a single class.
     """
     n_classes = len(counts.classes)
-    for c in counts.classes:
+    for c in counts.classes if classes is None else classes:
         if counts.n_gt[c] == 0:
             raise EmptyClassGroundTruth(f"class '{c}' has no ground-truth events")
         triggered = counts.cross_triggers[c]
