@@ -29,7 +29,6 @@ from .errors import (
 __all__ = [
     "Event",
     "EventSet",
-    "OnsetIndex",
     "Dataset",
     "EvalParams",
     "CollarParams",

@@ -702,27 +702,16 @@ def _pair_table(title: str, column: str, rows: Mapping[str, Mapping[str, object]
 def _op_point_lines(op_points: Mapping[str, Sequence[Sequence[object]]]) -> Iterator[str]:
     """The ``operating_points`` rows, class by class in sorted order.
 
-    Each distinct (eFPR, TP ratio) pair of floats is formatted once per
-    report. A row holding the same objects as the row before it, as the ops
-    of a run of identical tables do, reuses that row's cells without a
-    lookup. A zero is keyed by its ``repr``: ``0.0 == -0.0``, but they are
-    written ``0`` and ``-0``. A pair holding anything but two floats, such
-    as the ``1`` or ``True`` of user rates, which equal ``1.0`` but are
-    written differently, is formatted on each row.
+    A row holding the same objects as the row before it, as the ops over
+    which a class's values are unchanged do, reuses that row's cells; any
+    other row is formatted from its own values.
     """
-    formatted: dict[tuple[object, object], str] = {}
     efpr = tp_ratio = cells = object()
     for c in sorted(op_points):
         for op_id, e, t in op_points[c]:
             if e is not efpr or t is not tp_ratio:
                 efpr, tp_ratio = e, t
-                if type(e) is float and type(t) is float:
-                    key = (e or repr(e), t or repr(t))
-                    cells = formatted.get(key)
-                    if cells is None:
-                        cells = formatted[key] = _numbers((e, t))
-                else:
-                    cells = _numbers((e, t))
+                cells = _numbers((e, t))
             yield f"{c}\t{op_id}\t{cells}"
 
 

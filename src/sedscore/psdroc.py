@@ -215,14 +215,15 @@ _OpValues = Sequence[tuple[str, float, float]]
 def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: bool) -> PsdRoc:
     """The PSD-ROC of each op's class values; ops may share one values object.
 
-    A run of ops, in op-id order, that share one values object gives out
-    each class's points in one step. Each class's curve is built from its
-    distinct (eFPR, TP ratio) pairs, each with the values, signed zeros
-    included, of the first op in op-id order that holds it; a curve keeps
-    no op id, so it is the curve of every point. A NaN eFPR, which no order
-    can place, or a negative one, which would lift the curve from eFPR 0
-    on, is a ``ValueError`` naming the first op, in op-id order, and the
-    class that hold one; ``-0.0`` is a valid eFPR.
+    A run of ops, in op-id order, that share one values object has its
+    class set checked once and gives out each class's points in one step;
+    a values object in two runs is checked in each. Each class's curve is
+    built from its distinct (eFPR, TP ratio) pairs, each with the values,
+    signed zeros included, of the first op in op-id order that holds it; a
+    curve keeps no op id, so it is the curve of every point. A NaN eFPR,
+    which no order can place, or a negative one, which would lift the
+    curve from eFPR 0 on, is a ``ValueError`` naming the first op, in op-id
+    order, and the class that hold one; ``-0.0`` is a valid eFPR.
     """
     runs: list[tuple[_OpValues, list[str]]] = []  # (values, the ops of a run)
     for op in sorted(values_by_op):
@@ -231,8 +232,7 @@ def _psd_roc(values_by_op: Mapping[str, _OpValues], params: EvalParams, clamp: b
             runs[-1][1].append(op)
         else:
             runs.append((values, [op]))
-    distinct = {id(values): values for values, _ in runs}.values()
-    class_sets = {tuple(sorted(c for c, _, _ in values)) for values in distinct}
+    class_sets = {tuple(sorted(c for c, _, _ in values)) for values, _ in runs}
     if len(class_sets) != 1:
         raise ValueError("operating points disagree on the class set")
     columns: dict[str, list[OpPoint]] = {c: [] for c in class_sets.pop()}

@@ -50,3 +50,9 @@ def test_removed_names_stay_removed():
     assert [name for name in REMOVED if name in sedscore.__all__] == []
     modules = map(importlib.import_module, MODULES)
     assert [f"{m.__name__}.{name}" for m in modules for name in REMOVED if hasattr(m, name)] == []
+
+
+def test_onset_index_is_internal():
+    # its positions are an internal numbering; the class keeps its name in ``events``
+    assert "OnsetIndex" not in sedscore.__all__
+    assert not hasattr(sedscore, "OnsetIndex")

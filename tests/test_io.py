@@ -185,8 +185,18 @@ class TestParseDurationsTable:
             ("f1\t10\nf2\t1e999\n", "<input>:3: duration '1e999' is not finite"),
             ("f1\t10\nf2\n5\tf3\t5\n", "<input>:3: expected 2 tab-separated fields, got 1"),
             ("\t10\nf2\t5\n", "<input>:2: empty filename"),
+            ("f1\t10\nf2\t\n", "<input>:3: duration '' is not a number"),
+            ("f1\t1e\nf2\t5\n", "<input>:2: duration '1e' is not a number"),
         ],
-        ids=["duplicate", "negative-zero", "overflow", "fields-across-two-rows", "empty-filename"],
+        ids=[
+            "duplicate",
+            "negative-zero",
+            "overflow",
+            "fields-across-two-rows",
+            "empty-filename",
+            "empty-duration",
+            "bare-exponent",
+        ],
     )
     def test_a_column_fault_names_its_line(self, rows, message):
         # the column checks refuse the table; the row loop names the faulty line

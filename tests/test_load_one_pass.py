@@ -71,6 +71,10 @@ FAULTS = {
     "nan": lambda f, on, off, label: [f, "nan", off, label],
     "Infinity": lambda f, on, off, label: [f, on, "Infinity", label],
     "overflow": lambda f, on, off, label: [f, on, "1e999", label],
+    # number cells of only the characters a number uses, that float refuses
+    "empty onset": lambda f, on, off, label: [f, "", off, label],
+    "bare exponent": lambda f, on, off, label: [f, on + "e", off, label],
+    "lone sign": lambda f, on, off, label: [f, on, "-", label],
     "lone carriage return": lambda f, on, off, label: [f, on + "\r", off, label],
     "label trailing separator": lambda f, on, off, label: [f, on, off, label + "\x1c"],
 }

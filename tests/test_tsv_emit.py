@@ -1,16 +1,18 @@
 """TSV emission against the per-cell rule it replaced.
 
-``emit_report(report, "tsv")`` writes label cells as they are and formats
-each distinct (eFPR, TP ratio) pair of floats of the operating-point block
-once. It must give, byte for byte, what sending every cell through one rule
-gives: ``.6g`` for a float, ``true``/``false`` for a bool, ``str`` for
-anything else. Reports built from user ``ClassRates`` or ``F1Report`` can
-hold ints and bools, which can equal a float but are written differently
-(``10000000`` and ``1e+07``, ``true`` and ``1``), and ``-0.0``, which
-equals ``0.0`` but is written ``-0``.
+``emit_report(report, "tsv")`` writes label cells as they are, and an
+operating-point row holding the same objects as the row before it reuses
+that row's cells. It must give, byte for byte, what sending every cell
+through one rule gives: ``.6g`` for a float, ``true``/``false`` for a
+bool, ``str`` for anything else. Reports built from user ``ClassRates`` or
+``F1Report`` can hold ints and bools, which can equal a float but are
+written differently (``10000000`` and ``1e+07``, ``true`` and ``1``), and
+``-0.0``, which equals ``0.0`` but is written ``-0``.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,11 @@ from sedscore import (
     build_f1_report,
     build_psds_report,
     emit_report,
+    io,
+    load_dataset,
+    psd_roc_from_counts,
     psd_roc_from_rates,
+    sweep_operating_points,
 )
 
 
@@ -177,3 +183,33 @@ def reports(draw):
 def test_tsv_equals_the_per_cell_rule(built):
     for report in built:
         assert emit_report(report, "tsv") == per_cell_tsv(report)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_operating_point_rows_are_formatted_unless_they_repeat_the_row_above(
+    tmp_path, monkeypatch
+):
+    # op3's table is op1's with two rows swapped: its counts equal op1's, but
+    # dog's values are computed again after op2's false positive
+    rows = (GOLDEN / "det.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "op1.tsv").write_text("".join(rows), encoding="utf-8")
+    (tmp_path / "op2.tsv").write_text("".join(rows) + "a.wav\t100\t101\tdog\n", encoding="utf-8")
+    rows[1], rows[2] = rows[2], rows[1]
+    (tmp_path / "op3.tsv").write_text("".join(rows), encoding="utf-8")
+    dataset = load_dataset(GOLDEN / "gt.tsv", GOLDEN / "durations.tsv")
+    params = EvalParams()
+    counts = sweep_operating_points(tmp_path, dataset, params)
+    assert counts["op3"] == counts["op1"] and counts["op3"] is not counts["op1"]
+    ops = build_psds_report(psd_roc_from_counts(counts, dataset, params), dataset, params)[
+        "operating_points"
+    ]
+    calls = []
+    numbers = io._numbers
+    monkeypatch.setattr(io, "_numbers", lambda values: calls.append(values) or numbers(values))
+    lines = list(io._op_point_lines(ops))
+    assert lines == ["\t".join(map(per_cell, (c, *row))) for c in sorted(ops) for row in ops[c]]
+    assert len(lines) == 9
+    # once per class, then dog again at op2 and at op3
+    assert len(calls) == 5
