@@ -11,16 +11,17 @@ cross-trigger tolerance.
 
 All thresholds compare with inclusive ``>=``, as ``covered >= threshold *
 duration``, and coverage sums are literal sums of pairwise overlaps
-(overlapping labels of one class are counted once per label). Every
-tolerance, the collar's included, is decided by one check,
+(overlapping labels of one class are counted once per label). DTC, GTC
+and CTTC are one coverage check, :func:`_reaches`, made on the overlaps
+of one sum, and it and the collar's check share one comparison,
 :func:`_at_least`: in floats, and within a proven near-tie band again in
 exact decimal arithmetic, so that it holds of the numbers as written and
 no verdict depends on the order of a sum. The band is sized by the
-numbers the check reads: the offset of the covered event, or the larger
-operand of a collar check. True positives count ground truths while
-false positives count detections, so one detection spanning k ground
-truths can yield k true positives, and k split detections covering one
-ground truth yield at most one.
+numbers the check reads: the offset of the covered event and the number
+of overlaps summed, or the larger operand of a collar check. True
+positives count ground truths while false positives count detections,
+so one detection spanning k ground truths can yield k true positives,
+and k split detections covering one ground truth yield at most one.
 
 Every overlap comes from one kernel, :meth:`OnsetIndex.overlaps`: the
 events of each file sorted by onset, with a running maximum of offsets, so
@@ -49,7 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownClassLabel
 from .events import CollarParams, Dataset, Event, EvalParams, EventSet, OnsetIndex
@@ -110,22 +112,23 @@ _BAND = 2.0**-50
 def _at_least(value: float, bound: float, terms: int, reach: float) -> bool | None:
     """Whether ``value >= bound`` holds of the decimals the floats were read from, or None.
 
-    The one tolerance check. ``value`` is a coverage sum of at most
-    ``terms`` overlaps, or a collar tolerance (``terms`` 0), and ``bound``
-    is ``threshold * duration``, or a collar distance; both are computed in
-    floats. ``reach`` is the largest number the check reads: every
-    endpoint, duration and tolerance, and a collar's offset ratio times
-    every endpoint. For a coverage check it is the offset of the covered
-    event, as each overlap is ``min(offsets) - max(onsets)`` of two events
-    and so reads no endpoint above it; for a collar check it is the larger
-    offset or the collar, times the offset ratio when above 1
+    The one comparison of every tolerance check, called by :func:`_reaches`
+    for DTC, GTC and CTTC and by :func:`_collar_hit`. ``value`` is a
+    coverage sum of ``terms`` overlaps, or a collar tolerance (``terms``
+    0), and ``bound`` is ``threshold * duration``, or a collar distance;
+    both are computed in floats. ``reach`` is the largest number the check
+    reads: every endpoint, duration and tolerance, and a collar's offset
+    ratio times every endpoint. For a coverage check it is the offset of
+    the covered event, as each overlap is ``min(offsets) - max(onsets)`` of
+    two events and so reads no endpoint above it; for a collar check it is
+    the larger offset or the collar, times the offset ratio when above 1
     (:func:`_collar_hit`). A threshold is at most 1. Outside a band around
     the tie the float comparison gives the exact verdict. Inside it the
     answer is None, and the caller decides in exact decimal arithmetic,
     each float ``x`` read as :func:`_decimal`, the shortest decimal that
-    rounds to it (:func:`_covers`, :func:`_collar_hit`). So a verdict
-    holds ``>=`` of the numbers as written, and does not depend on the
-    order of a sum.
+    rounds to it (:func:`_covers` for :func:`_reaches`, and
+    :func:`_collar_hit`). So a verdict holds ``>=`` of the numbers as
+    written, and does not depend on the order of a sum.
 
     The band. Reading each float as its shortest decimal keeps the order
     of any two floats, so the same events overlap in both arithmetics, and
@@ -178,8 +181,8 @@ def _decimal(x: float) -> Decimal:
 def _covers(x: Event, ys: Iterable[Event], threshold: float) -> bool:
     """Whether same-file events ``ys`` cover ``threshold`` of ``x``, in exact decimals.
 
-    The near-tie verdict of :func:`_at_least` for DTC, GTC and CTTC: the
-    literal sum of the overlaps, at least ``threshold`` times the duration.
+    The near-tie verdict of :func:`_reaches`: the literal sum of the
+    overlaps, at least ``threshold`` times the duration.
     """
     sub, add = _EXACT.subtract, _EXACT.add
     onset, offset = _decimal(x.onset), _decimal(x.offset)
@@ -191,54 +194,31 @@ def _covers(x: Event, ys: Iterable[Event], threshold: float) -> bool:
     return covered >= _EXACT.multiply(_decimal(threshold), sub(offset, onset))
 
 
-def _cross_trigger(
-    fp: Event,
-    hits: list[tuple[int, float]],
-    gt: Sequence[Event],
-    cttc_threshold: float,
-    classes: Sequence[str],
-) -> list[str]:
-    """The classes other than its own that the false positive ``fp`` cross-triggers.
+def _reaches(x: Event, parts: Sequence[tuple], threshold: float, event_of: Callable) -> bool:
+    """Whether the overlaps of ``parts`` cover ``threshold`` of ``x``: the one coverage check.
 
-    ``hits`` are its :meth:`OnsetIndex.overlaps` hits in ``gt``, and each
-    check reads no endpoint above ``fp``'s offset. With a zero threshold
-    every other class of ``classes`` counts, overlap or not; otherwise
-    only classes with coverage can reach the threshold.
+    DTC, GTC and CTTC each call it on the ``(key, overlap)`` pairs of one
+    sum: a detection's own-class hits, the rows covering a ground truth,
+    or a false positive's hits in one other class. The overlaps are added
+    left to right, and :func:`_at_least` bands the sum by ``x``'s offset
+    and the number of overlaps in it; a near tie is decided by
+    :func:`_covers` over the ``event_of`` of each pair.
     """
-    label = fp.class_label
-    if cttc_threshold == 0:
-        return [other for other in classes if other != label]
-    bound = cttc_threshold * (fp.offset - fp.onset)
-    crossed = []
-    for other, covered in _class_sums(gt, hits).items():
-        if other != label:
-            hit = _at_least(covered, bound, len(hits), fp.offset)
-            if hit is None:
-                ys = (gt[i] for i, _ in hits if gt[i].class_label == other)
-                hit = _covers(fp, ys, cttc_threshold)
-            if hit:
-                crossed.append(other)
-    return crossed
-
-
-def _class_sums(events: Sequence[Event], hits: Iterable[tuple[int, float]]) -> dict[str, float]:
-    """Fold :meth:`OnsetIndex.overlaps` hits in the index's ``events`` into one sum per class.
-
-    The hits come in ascending position, so each sum equals, bit for bit,
-    :func:`total_intersection` over the class's events in ``events`` order.
-    """
-    sums: dict[str, float] = {}
-    for i, overlap in hits:
-        label = events[i].class_label
-        sums[label] = sums.get(label, 0.0) + overlap
-    return sums
+    covered = 0.0
+    for _, overlap in parts:
+        covered += overlap
+    offset = x.offset
+    hit = _at_least(covered, threshold * (offset - x.onset), len(parts), offset)
+    if hit is None:
+        hit = _covers(x, map(event_of, parts), threshold)
+    return hit
 
 
 # A detection's record: ``(label, own, rest)``. When the detection passes
-# DTC, ``own`` lists the ``(index position, overlap)`` hits of its
-# own class and ``rest`` is the detection itself, kept so that a GTC
-# near-tie can be summed again exactly. For a false positive ``own`` is
-# None and ``rest`` lists the classes it cross-triggers.
+# DTC, ``own`` lists the ``(index position, overlap)`` hits of its own
+# class and ``rest`` is the detection itself, its key in the tally's
+# ``(detection, overlap)`` covering entries. For a false positive ``own``
+# is None and ``rest`` lists the classes it cross-triggers.
 _Verdict = tuple[str, list[tuple[int, float]] | None, Event | Sequence[str]]
 
 
@@ -254,26 +234,27 @@ def _verdicts(
     gt, overlaps = index.events, index.overlaps
     classes = dataset.classes
     dtc, cttc = params.dtc_threshold, params.cttc_threshold
+
+    def gt_of(hit: tuple[int, float]) -> Event:
+        return gt[hit[0]]
+
     for det in detections:
         c = det.class_label
         hits = overlaps(det)
-        own = [(i, overlap) for i, overlap in hits if gt[i].class_label == c]
-        covered = 0.0  # inline in this hot loop
-        for _, overlap in own:
-            covered += overlap
-        if own:
-            offset = det.offset
-            relevant = _at_least(covered, dtc * (offset - det.onset), len(own), offset)
-            if relevant is None:
-                relevant = _covers(det, (gt[i] for i, _ in own), dtc)
-        else:  # exactly 0 >= dtc * duration, as the duration is positive
-            relevant = not dtc
+        own = [hit for hit in hits if gt[hit[0]].class_label == c]
+        # with no own-class hit, exactly 0 >= dtc * duration, as the duration is positive
+        relevant = _reaches(det, own, dtc, gt_of) if own else not dtc
         if relevant:
             yield c, own, det
-        elif len(own) < len(hits) or not cttc:
-            yield c, None, _cross_trigger(det, hits, gt, cttc, classes)
-        else:  # no other class in reach
-            yield c, None, ()
+        elif not cttc:  # every other class counts, overlap or not
+            yield c, None, [other for other in classes if other != c]
+        else:  # only a class with an overlap can reach the threshold
+            folded: dict[str, list[tuple[int, float]]] = {}
+            for hit in hits:
+                other = gt[hit[0]].class_label
+                if other != c:
+                    folded.setdefault(other, []).append(hit)
+            yield c, None, [o for o, parts in folded.items() if _reaches(det, parts, cttc, gt_of)]
 
 
 class _Tally:
@@ -281,7 +262,7 @@ class _Tally:
 
     The state is the per-class ``n_sys``, ``n_fp``, ``n_tp`` and
     cross-trigger counts, the set of ground truths that pass GTC, and for
-    each touched ground truth the ``(overlap, detection)`` of each
+    each touched ground truth the ``(detection, overlap)`` of each
     relevant row that covers it. Every verdict is exact, whatever order a
     sum is taken in, so integer counts step exactly, and a ground truth
     that a changed row covers is decided again on the rows that cover it
@@ -301,8 +282,8 @@ class _Tally:
         # with a zero GTC every ground truth counts, touched or not
         self._n_tp = dict.fromkeys(classes, 0) if gtc else dict(self._n_gt)
         self._passed: set[int] = set()  # index positions of the ground truths that pass GTC
-        # index position -> (overlap, detection) of each relevant row covering the ground truth
-        self._covering: dict[int, list[tuple[float, Event]]] = {}
+        # index position -> (detection, overlap) of each relevant row covering the ground truth
+        self._covering: dict[int, list[tuple[Event, float]]] = {}
         self._add(records, 1)
         if gtc:
             self._decide(self._covering)
@@ -310,7 +291,7 @@ class _Tally:
     def _add(self, records: Iterable[_Verdict], sign: int) -> None:
         """Add ``sign`` times the counts of each record, a row of the table.
 
-        A relevant record's ``(overlap, detection)`` enters, or with a
+        A relevant record's ``(detection, overlap)`` enters, or with a
         negative ``sign`` leaves, the covering list of each ground truth it
         covers. An equal entry of another row is the same term of the sum,
         so a leaving row may take out either.
@@ -327,27 +308,21 @@ class _Tally:
                 for i, overlap in own:
                     entries = covering.get(i)
                     if entries is None:
-                        covering[i] = [(overlap, rest)]
+                        covering[i] = [(rest, overlap)]
                     else:
-                        entries.append((overlap, rest))
+                        entries.append((rest, overlap))
             else:
                 for i, overlap in own:
-                    covering[i].remove((overlap, rest))
+                    covering[i].remove((rest, overlap))
 
     def _decide(self, touched: Iterable[int]) -> None:
         """Decide GTC again for each of the ``touched`` ground truths, on the rows covering it."""
         gt, gtc = self._gt, self._gtc
         covering, passed, n_tp = self._covering, self._passed, self._n_tp
+        detection = itemgetter(0)
         for i in touched:
-            entries = covering[i]
-            total = 0.0
-            for overlap, _ in entries:
-                total += overlap
             g = gt[i]
-            offset = g.offset
-            hit = _at_least(total, gtc * (offset - g.onset), len(entries), offset)
-            if hit is None:
-                hit = _covers(g, (det for _, det in entries), gtc)
+            hit = _reaches(g, covering[i], gtc, detection)
             if hit and i not in passed:
                 passed.add(i)
                 n_tp[g.class_label] += 1

@@ -9,8 +9,11 @@ hundredths of a second, onsets up to 3 h), where ties are common, and
 check ``count_matrix`` and ``collar_counts`` against the exact all-pairs
 oracle and against themselves under every drawn order of the ground truth
 and of the detections. Subnormal probes check the rounding floor of each
-check and of the collar's onset window, and a 3 h file checks that a near
-tie's band is sized by the check's own numbers, not by the longest file.
+check and of the collar's onset window, and 3 h files check, for DTC, GTC
+and CTTC alike, that a near tie's band is sized by the check's own
+numbers: by the checked event's offset, not the longest file, and for a
+cross-trigger by the overlaps with the class checked, not every overlap
+of the false positive.
 """
 
 from __future__ import annotations
@@ -243,25 +246,61 @@ def _counted_rechecks(monkeypatch) -> list[Event]:
     return calls
 
 
-@pytest.mark.parametrize(("miss", "relevant"), [(1e-14, True), (-1e-14, False)])
-def test_a_near_tie_is_banded_by_its_own_check_not_by_the_longest_file(monkeypatch, miss, relevant):
-    # a 0.3 s detection at onset 0.1 of a 3 h file, covered 1e-14 off half its duration
-    gt_rows = [("a", 0.1, 0.25 + miss, "x")]
-    det_rows = [("a", 0.1, 0.4, "x")]
-    dataset = Dataset(_events(gt_rows), {"a": float(THREE_HOURS)})
+def _half_covered(criterion: str, onset: float, half: float, end: float):
+    """Whether ``criterion`` finds [onset, end] of a 3 h file covered half by [onset, half].
+
+    DTC checks a detection of ``x`` over a ground truth of ``x``; GTC, a
+    ground truth of ``x`` under a detection of ``x``; CTTC, a false
+    positive of ``y`` over a ground truth of ``x``. Returns the count that
+    the check adds at thresholds of 0.5, the brute force's count and the
+    checked event.
+    """
+    wide, narrow = ("a", onset, end), ("a", onset, half)
+    gt_rows, det_rows = {
+        "dtc": ([(*narrow, "x")], [(*wide, "x")]),
+        "gtc": ([(*wide, "x")], [(*narrow, "x")]),
+        # class y has one ground truth of its own, in a file of its own
+        "cttc": ([(*narrow, "x"), ("b", 0.0, 1.0, "y")], [(*wide, "y")]),
+    }[criterion]
+    dataset = Dataset(_events(gt_rows), {"a": float(THREE_HOURS), "b": float(THREE_HOURS)})
+    params = default_params(dtc_threshold=0.5, gtc_threshold=0.5, cttc_threshold=0.5)
+    counts = count_matrix(_events(det_rows), dataset, params)
+    exact = brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.5)
+    if criterion == "dtc":
+        return 1 - counts.n_fp["x"], 1 - exact["x"]["n_fp"], Event(*det_rows[0])
+    if criterion == "gtc":
+        return counts.n_tp["x"], exact["x"]["n_tp"], Event(*gt_rows[0])
+    return counts.cross_triggers["y"]["x"], exact["y"]["ct"]["x"], Event(*det_rows[0])
+
+
+@pytest.mark.parametrize("criterion", ["dtc", "gtc", "cttc"])
+@pytest.mark.parametrize(("miss", "reached"), [(1e-14, 1), (-1e-14, 0)])
+def test_a_near_tie_is_banded_by_its_own_check_not_by_the_longest_file(
+    monkeypatch, criterion, miss, reached
+):
+    # a 0.3 s event at onset 0.1 of a 3 h file, covered 1e-14 off half its duration
     rechecks = _counted_rechecks(monkeypatch)
-    counts = count_matrix(_events(det_rows), dataset, default_params(dtc_threshold=0.5))
+    assert _half_covered(criterion, 0.1, 0.25 + miss, 0.4)[:2] == (reached, reached)
     assert rechecks == []
-    assert counts.n_fp["x"] == (0 if relevant else 1)
-    assert counts.n_fp["x"] == brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.3)["x"]["n_fp"]
 
 
-def test_an_exact_tie_late_in_a_long_file_is_rechecked(monkeypatch):
-    gt_rows = [("a", 10799.1, 10799.25, "x")]
-    det_rows = [("a", 10799.1, 10799.4, "x")]
-    dataset = Dataset(_events(gt_rows), {"a": float(THREE_HOURS)})
+@pytest.mark.parametrize("criterion", ["dtc", "gtc", "cttc"])
+def test_an_exact_tie_late_in_a_long_file_is_rechecked(monkeypatch, criterion):
     rechecks = _counted_rechecks(monkeypatch)
-    counts = count_matrix(_events(det_rows), dataset, default_params(dtc_threshold=0.5))
-    assert rechecks == [Event(*det_rows[0])]
-    assert counts.n_fp["x"] == 0
-    assert brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.3)["x"]["n_fp"] == 0
+    got, exact, checked = _half_covered(criterion, 10799.1, 10799.25, 10799.4)
+    assert (got, exact) == (1, 1)
+    assert rechecks == [checked]
+
+
+def test_a_cross_trigger_is_banded_by_the_overlaps_of_its_own_class(monkeypatch):
+    # a false positive of a over one b ground truth, 1e-10 s past a tie at 0.3, and over
+    # 40 ground truths of c: banded by all 41 overlaps, the b check would need a recheck
+    gt_rows = [("f", 0.0, 1.0, "a"), ("f", 10000.0, 10000.3000000001, "b")]
+    gt_rows += [("f", 10000.2 + k / 50, 10000.21 + k / 50, "c") for k in range(40)]
+    det_rows = [("f", 10000.0, 10001.0, "a")]
+    dataset = Dataset(_events(gt_rows), {"f": float(THREE_HOURS)})
+    rechecks = _counted_rechecks(monkeypatch)
+    counts = count_matrix(_events(det_rows), dataset, default_params(cttc_threshold=0.3))
+    assert rechecks == []
+    assert counts.cross_triggers["a"] == {"b": 1, "c": 1}
+    assert brute_force_counts(gt_rows, det_rows, 0.5, 0.5, 0.3)["a"]["ct"] == {"b": 1, "c": 1}

@@ -13,6 +13,7 @@ verdict depends on the numbers, not on the order they are summed in.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from sedscore import (
     total_intersection,
 )
 from sedscore.events import OnsetIndex
-from sedscore.matching import _class_sums
+from sedscore.matching import _reaches
 
 from conftest import default_params
 
@@ -211,19 +212,38 @@ def test_overlaps_equal_all_pairs_in_index_order(instance):
         assert index.overlaps(x) == [(i, overlap) for i, overlap in expected if overlap > 0]
 
 
+def _exact(x: float) -> Fraction:
+    return Fraction(repr(x))
+
+
+def _exact_overlap(a: Event, b: Event) -> Fraction:
+    """``intersection_duration`` of the numbers as written, in rationals."""
+    if a.file_id != b.file_id:
+        return Fraction(0)
+    overlap = min(_exact(a.offset), _exact(b.offset)) - max(_exact(a.onset), _exact(b.onset))
+    return max(overlap, Fraction(0))
+
+
 @PROPERTY
-@given(instances())
-def test_coverage_is_total_intersection_bit_for_bit(instance):
+@given(instances(), threshold)
+def test_the_coverage_check_is_exact_on_each_class_hits(instance, drawn):
     gt_rows, det_rows = instance
     index = OnsetIndex([Event(*r) for r in gt_rows])
     events = index.events
+
+    def event_of(hit):
+        return events[hit[0]]
+
     for det in (Event(*r) for r in det_rows + gt_rows):
-        expected = {
-            c: total_intersection(det, [g for g in events if g.class_label == c])
-            for c in CLASSES
-        }
-        got = _class_sums(events, index.overlaps(det))
-        assert got == {c: v for c, v in expected.items() if v > 0}
+        hits = index.overlaps(det)
+        duration = _exact(det.offset) - _exact(det.onset)
+        for c in CLASSES:
+            parts = [hit for hit in hits if events[hit[0]].class_label == c]
+            covered = sum(_exact_overlap(det, g) for g in events if g.class_label == c)
+            # the float coverage ratio puts the threshold at, or next to, a tie
+            ratio = min(1.0, sum(overlap for _, overlap in parts) / det.duration)
+            for t in (drawn, ratio):
+                assert _reaches(det, parts, t, event_of) == (covered >= _exact(t) * duration)
 
 
 @PROPERTY
