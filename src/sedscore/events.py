@@ -12,9 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add, attrgetter
+from itertools import repeat
+from operator import add, attrgetter, gt
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -56,7 +58,7 @@ _UNIT_SECONDS = {TimeUnit.SECOND: 1.0, TimeUnit.MINUTE: 60.0, TimeUnit.HOUR: 360
 _set = object.__setattr__  # sets a field of a frozen instance
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Event:
     """One labelled time interval inside one audio file.
 
@@ -70,10 +72,9 @@ class Event:
     offset: float
     class_label: str
 
-    # Written by hand, as one event is made per table row, in place of the
-    # generated frozen __init__ and a __post_init__ check. Fields are set
-    # through object.__setattr__, never __dict__, so that events keep
-    # sharing one key table.
+    # Written by hand, in place of the generated frozen __init__ and a
+    # __post_init__ check, so that each rule keeps one message. A valid
+    # table's events are made without it, by _events_of_columns.
     def __init__(self, file_id: str, onset: float, offset: float, class_label: str) -> None:
         if onset < 0:
             raise NegativeOnset(f"onset {onset} of '{class_label}' in '{file_id}' is negative")
@@ -95,6 +96,25 @@ class Event:
     @property
     def duration(self) -> float:
         return self.offset - self.onset
+
+
+def _events_of_columns(
+    files: list[str], onsets: list[float], offsets: list[float], labels: list[str]
+) -> tuple[Event, ...] | None:
+    """The events of four columns, or None if a row breaks a rule of :class:`Event`.
+
+    ``Event``'s two rules, checked over whole columns: a non-negative onset
+    and an offset after it, which a NaN in either column fails. The events
+    are then made without ``Event.__init__``, each field set for all of
+    them through its slot, so no Python code runs per event. A table that
+    fails is left to the row loop, whose ``Event`` names the fault.
+    """
+    if not min(onsets, default=0.0) >= 0 or not all(map(gt, offsets, onsets)):
+        return None
+    events = tuple(map(object.__new__, repeat(Event, len(onsets))))
+    for field, column in zip(Event.__slots__, (files, onsets, offsets, labels)):
+        deque(map(getattr(Event, field).__set__, events, column), 0)
+    return events
 
 
 def intersection_duration(a: Event, b: Event) -> float:
@@ -159,8 +179,8 @@ class OnsetIndex:
             self.run_max_offset.append(top)
             self.spans[file_id] = (start, k + 1)
 
-    def overlaps(self, x: Event) -> list[tuple[int, float]]:
-        """``(position, overlap)`` of each indexed event that overlaps ``x``, in index order.
+    def overlaps(self, x: Event) -> list[tuple[float, int]]:
+        """``(overlap, position)`` of each indexed event that overlaps ``x``, in index order.
 
         Only events of ``x``'s file with a positive overlap appear. Each
         overlap is the value :func:`intersection_duration` gives, with
@@ -181,7 +201,7 @@ class OnsetIndex:
                 onset if onset >= y.onset else y.onset
             )
             if overlap > 0:
-                hits.append((i, overlap))
+                hits.append((overlap, i))
         return hits
 
     def onset_window(self, x: Event, reach: float) -> range:
@@ -342,33 +362,34 @@ class Dataset:
     file_durations: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        self._check_files()
-        for ev in self.ground_truth.events:
-            _check_placement(ev, self.file_durations)
-
-    def _check_files(self) -> None:
-        """Keep a copy of the durations, check them, and require ground truth."""
+        """Keep a copy of the durations, check them, require ground truth and place it."""
         durations = dict(self.file_durations)
         object.__setattr__(self, "file_durations", durations)
         for file_id, dur in durations.items():
             if not (math.isfinite(dur) and dur > 0):
                 raise ValidationError(f"file '{file_id}' has non-positive duration {dur}")
+        self._check_ground_truth()
+        for ev in self.ground_truth.events:
+            _check_placement(ev, durations)
+
+    def _check_ground_truth(self) -> None:
         if not self.ground_truth.events:
             raise ValidationError("ground truth contains no events; class set would be empty")
 
     @classmethod
-    def _of_placed(cls, ground_truth: EventSet, file_durations: Mapping[str, float]) -> "Dataset":
+    def _of_placed(cls, ground_truth: EventSet, file_durations: dict[str, float]) -> "Dataset":
         """``Dataset(ground_truth, file_durations)`` of events already placed in those files.
 
-        The table loaders check each event's placement, over whole columns
-        or, in a table that fails a check, in :func:`_validated` as it reads
-        each row, so that the message names the line; the events are not
-        checked a second time here.
+        ``file_durations`` is a map of its own that ``load_durations`` has
+        checked, and the table loaders check each event's placement, over
+        whole columns or, in a table that fails a check, in
+        :func:`_validated` as it reads each row, so that the message names
+        the line; neither is copied or checked a second time here.
         """
         dataset = object.__new__(cls)
         object.__setattr__(dataset, "ground_truth", ground_truth)
         object.__setattr__(dataset, "file_durations", file_durations)
-        dataset._check_files()
+        dataset._check_ground_truth()
         return dataset
 
     @cached_property

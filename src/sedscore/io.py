@@ -37,8 +37,9 @@ from operator import gt
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError, ValidationError
-from .events import CollarParams, Dataset, EvalParams, Event, EventSet, _validated
+from .errors import BadRow, MalformedHeader, NoOperatingPoints, ParseError
+from .events import CollarParams, Dataset, EvalParams, Event, EventSet
+from .events import _events_of_columns, _validated
 from .matching import CountsMatrix, _Tally, _Verdict, _verdicts, count_matrix
 from .psdroc import PsdRoc, _staircase_rows
 from .rates import ClassRates, F1Report
@@ -254,8 +255,8 @@ def _column_events(
     :func:`events._validated`) once over a whole column, and each distinct
     label and filename once, so it accepts exactly the tables that loop
     accepts and gives the same events; which fault a rejected table holds,
-    and on which line, is left to that loop. ``Event`` checks each event's
-    onset and duration itself.
+    and on which line, is left to that loop. :func:`events._events_of_columns`
+    checks ``Event``'s own two rules and makes the events.
     """
     columns = _columns(lines, 4)
     if columns is None:
@@ -274,10 +275,7 @@ def _column_events(
         return None
     if any(map(gt, offsets, map(file_durations.__getitem__, files))):
         return None
-    try:
-        return tuple(map(Event, files, onsets, offsets, labels))
-    except ValidationError:
-        return None
+    return _events_of_columns(files, onsets, offsets, labels)
 
 
 def _text_durations(text: str, source: str) -> dict[str, float]:

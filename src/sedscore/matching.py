@@ -197,7 +197,7 @@ def _covers(x: Event, ys: Iterable[Event], threshold: float) -> bool:
 def _reaches(x: Event, parts: Sequence[tuple], threshold: float, event_of: Callable) -> bool:
     """Whether the overlaps of ``parts`` cover ``threshold`` of ``x``: the one coverage check.
 
-    DTC, GTC and CTTC each call it on the ``(key, overlap)`` pairs of one
+    DTC, GTC and CTTC each call it on the ``(overlap, key)`` pairs of one
     sum: a detection's own-class hits, the rows covering a ground truth,
     or a false positive's hits in one other class. The overlaps are added
     left to right, and :func:`_at_least` bands the sum by ``x``'s offset
@@ -205,7 +205,7 @@ def _reaches(x: Event, parts: Sequence[tuple], threshold: float, event_of: Calla
     :func:`_covers` over the ``event_of`` of each pair.
     """
     covered = 0.0
-    for _, overlap in parts:
+    for overlap, _ in parts:
         covered += overlap
     offset = x.offset
     hit = _at_least(covered, threshold * (offset - x.onset), len(parts), offset)
@@ -215,11 +215,11 @@ def _reaches(x: Event, parts: Sequence[tuple], threshold: float, event_of: Calla
 
 
 # A detection's record: ``(label, own, rest)``. When the detection passes
-# DTC, ``own`` lists the ``(index position, overlap)`` hits of its own
+# DTC, ``own`` lists the ``(overlap, index position)`` hits of its own
 # class and ``rest`` is the detection itself, its key in the tally's
-# ``(detection, overlap)`` covering entries. For a false positive ``own``
+# ``(overlap, detection)`` covering entries. For a false positive ``own``
 # is None and ``rest`` lists the classes it cross-triggers.
-_Verdict = tuple[str, list[tuple[int, float]] | None, Event | Sequence[str]]
+_Verdict = tuple[str, list[tuple[float, int]] | None, Event | Sequence[str]]
 
 
 def _verdicts(
@@ -235,13 +235,13 @@ def _verdicts(
     classes = dataset.classes
     dtc, cttc = params.dtc_threshold, params.cttc_threshold
 
-    def gt_of(hit: tuple[int, float]) -> Event:
-        return gt[hit[0]]
+    def gt_of(hit: tuple[float, int]) -> Event:
+        return gt[hit[1]]
 
     for det in detections:
         c = det.class_label
         hits = overlaps(det)
-        own = [hit for hit in hits if gt[hit[0]].class_label == c]
+        own = [hit for hit in hits if gt[hit[1]].class_label == c]
         # with no own-class hit, exactly 0 >= dtc * duration, as the duration is positive
         relevant = _reaches(det, own, dtc, gt_of) if own else not dtc
         if relevant:
@@ -249,9 +249,9 @@ def _verdicts(
         elif not cttc:  # every other class counts, overlap or not
             yield c, None, [other for other in classes if other != c]
         else:  # only a class with an overlap can reach the threshold
-            folded: dict[str, list[tuple[int, float]]] = {}
+            folded: dict[str, list[tuple[float, int]]] = {}
             for hit in hits:
-                other = gt[hit[0]].class_label
+                other = gt[hit[1]].class_label
                 if other != c:
                     folded.setdefault(other, []).append(hit)
             yield c, None, [o for o, parts in folded.items() if _reaches(det, parts, cttc, gt_of)]
@@ -262,7 +262,7 @@ class _Tally:
 
     The state is the per-class ``n_sys``, ``n_fp``, ``n_tp`` and
     cross-trigger counts, the set of ground truths that pass GTC, and for
-    each touched ground truth the ``(detection, overlap)`` of each
+    each touched ground truth the ``(overlap, detection)`` of each
     relevant row that covers it. Every verdict is exact, whatever order a
     sum is taken in, so integer counts step exactly, and a ground truth
     that a changed row covers is decided again on the rows that cover it
@@ -282,8 +282,8 @@ class _Tally:
         # with a zero GTC every ground truth counts, touched or not
         self._n_tp = dict.fromkeys(classes, 0) if gtc else dict(self._n_gt)
         self._passed: set[int] = set()  # index positions of the ground truths that pass GTC
-        # index position -> (detection, overlap) of each relevant row covering the ground truth
-        self._covering: dict[int, list[tuple[Event, float]]] = {}
+        # index position -> (overlap, detection) of each relevant row covering the ground truth
+        self._covering: dict[int, list[tuple[float, Event]]] = {}
         self._add(records, 1)
         if gtc:
             self._decide(self._covering)
@@ -291,10 +291,12 @@ class _Tally:
     def _add(self, records: Iterable[_Verdict], sign: int) -> None:
         """Add ``sign`` times the counts of each record, a row of the table.
 
-        A relevant record's ``(detection, overlap)`` enters, or with a
+        A relevant record's ``(overlap, detection)`` enters, or with a
         negative ``sign`` leaves, the covering list of each ground truth it
         covers. An equal entry of another row is the same term of the sum,
-        so a leaving row may take out either.
+        so a leaving row may take out either. The overlap comes first so
+        that finding the entry compares floats, and compares two events,
+        a call of ``Event.__eq__``, only past an entry of equal overlap.
         """
         n_sys, n_fp, ct, covering = self._n_sys, self._n_fp, self._ct, self._covering
         for c, own, rest in records:
@@ -305,21 +307,21 @@ class _Tally:
                 for other in rest:
                     counts[other] += sign
             elif sign > 0:
-                for i, overlap in own:
+                for overlap, i in own:
                     entries = covering.get(i)
                     if entries is None:
-                        covering[i] = [(rest, overlap)]
+                        covering[i] = [(overlap, rest)]
                     else:
-                        entries.append((rest, overlap))
+                        entries.append((overlap, rest))
             else:
-                for i, overlap in own:
-                    covering[i].remove((rest, overlap))
+                for overlap, i in own:
+                    covering[i].remove((overlap, rest))
 
     def _decide(self, touched: Iterable[int]) -> None:
         """Decide GTC again for each of the ``touched`` ground truths, on the rows covering it."""
         gt, gtc = self._gt, self._gtc
         covering, passed, n_tp = self._covering, self._passed, self._n_tp
-        detection = itemgetter(0)
+        detection = itemgetter(1)
         for i in touched:
             g = gt[i]
             hit = _reaches(g, covering[i], gtc, detection)
@@ -342,8 +344,8 @@ class _Tally:
         self._add(left, -1)
         self._add(came, 1)
         if self._gtc:
-            lost = {i for _, own, _ in left if own for i, _ in own}
-            gained = {i for _, own, _ in came if own for i, _ in own}
+            lost = {i for _, own, _ in left if own for _, i in own}
+            gained = {i for _, own, _ in came if own for _, i in own}
             self._decide((lost & self._passed) | (gained - self._passed))
 
     def counts(self) -> CountsMatrix:

@@ -155,8 +155,10 @@ class TestEventValue:
         ]
 
     def test_pickle_round_trip(self):
-        e = ev(1.0, 2.0)
-        assert pickle.loads(pickle.dumps(e)) == e
+        e = ev(-0.0, 2.0)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(e, protocol))
+            assert back == e and math.copysign(1.0, back.onset) == -1.0, protocol
 
     @pytest.mark.parametrize(
         "onset, offset, error, message",

@@ -208,8 +208,8 @@ def test_overlaps_equal_all_pairs_in_index_order(instance):
     events = index.events
     assert sorted(map(id, events)) == sorted(map(id, gts))
     for x in (Event(*r) for r in det_rows + gt_rows):
-        expected = [(i, intersection_duration(x, g)) for i, g in enumerate(events)]
-        assert index.overlaps(x) == [(i, overlap) for i, overlap in expected if overlap > 0]
+        expected = [(intersection_duration(x, g), i) for i, g in enumerate(events)]
+        assert index.overlaps(x) == [(overlap, i) for overlap, i in expected if overlap > 0]
 
 
 def _exact(x: float) -> Fraction:
@@ -232,16 +232,16 @@ def test_the_coverage_check_is_exact_on_each_class_hits(instance, drawn):
     events = index.events
 
     def event_of(hit):
-        return events[hit[0]]
+        return events[hit[1]]
 
     for det in (Event(*r) for r in det_rows + gt_rows):
         hits = index.overlaps(det)
         duration = _exact(det.offset) - _exact(det.onset)
         for c in CLASSES:
-            parts = [hit for hit in hits if events[hit[0]].class_label == c]
+            parts = [hit for hit in hits if events[hit[1]].class_label == c]
             covered = sum(_exact_overlap(det, g) for g in events if g.class_label == c)
             # the float coverage ratio puts the threshold at, or next to, a tie
-            ratio = min(1.0, sum(overlap for _, overlap in parts) / det.duration)
+            ratio = min(1.0, sum(overlap for overlap, _ in parts) / det.duration)
             for t in (drawn, ratio):
                 assert _reaches(det, parts, t, event_of) == (covered >= _exact(t) * duration)
 

@@ -461,3 +461,22 @@ def test_repeated_rows_of_a_valid_sweep_count_as_in_each_table(tmp_path):
     swept = sweep_operating_points(tmp_path, GOLDEN_DATASET, params)
     assert swept == _per_table(tmp_path, GOLDEN_DATASET, params)
     assert sum(swept["op_1"].n_sys.values()) == 2 * sum(swept["op_0"].n_sys.values()) == 6
+
+
+def test_a_leaving_row_leaves_its_covering_list_without_comparing_events(tmp_path, monkeypatch):
+    # three relevant speech rows inside one ground truth (a.wav 42.86-48.65),
+    # each with an overlap of its own; op_1 drops the middle one, so the
+    # tally is stepped and the leaving entry is second in that ground
+    # truth's covering list
+    inside = ["a.wav\t43\t44\tspeech", "a.wav\t44.5\t46\tspeech", "a.wav\t46.5\t48.5\tspeech"]
+    compared = []
+    eq = Event.__eq__
+
+    def counted(self, other):
+        compared.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(Event, "__eq__", counted)
+    tables = [inside, [inside[0], inside[2]]]
+    assert _tallies(tmp_path, monkeypatch, tables) == ["recount", "step"]
+    assert compared == []
