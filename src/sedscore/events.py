@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, attrgetter, gt
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -99,17 +99,31 @@ class Event:
 
 
 def _events_of_columns(
-    files: list[str], onsets: list[float], offsets: list[float], labels: list[str]
+    files: list[str],
+    onsets: list[float],
+    offsets: list[float],
+    labels: list[str],
+    file_durations: Mapping[str, float],
+    allowed: frozenset[str] | None,
 ) -> tuple[Event, ...] | None:
-    """The events of four columns, or None if a row breaks a rule of :class:`Event`.
+    """The checked events of four columns, or None if a row breaks a rule of :func:`_validated`.
 
-    ``Event``'s two rules, checked over whole columns: a non-negative onset
-    and an offset after it, which a NaN in either column fails. The events
+    The rules of ``Event`` and :func:`_check_placement`, each checked once
+    over whole columns: a non-negative onset and an offset after it, which
+    a NaN in either column fails; a file with a duration entry, which the
+    offset does not pass; and, given ``allowed``, a label in it. The events
     are then made without ``Event.__init__``, each field set for all of
-    them through its slot, so no Python code runs per event. A table that
-    fails is left to the row loop, whose ``Event`` names the fault.
+    them through its slot, so no Python code runs per event. Columns that
+    fail are left to the row loop, whose ``Event`` or placement check
+    names the first fault. Serves :func:`validate_events` and the table
+    loaders alike, so the column rules live here alone.
     """
     if not min(onsets, default=0.0) >= 0 or not all(map(gt, offsets, onsets)):
+        return None
+    # a file with no entry reads as lasting -inf, which every offset, being positive, passes
+    if any(map(gt, offsets, map(file_durations.get, files, repeat(-math.inf)))):
+        return None
+    if allowed is not None and not allowed.issuperset(labels):
         return None
     events = tuple(map(object.__new__, repeat(Event, len(onsets))))
     for field, column in zip(Event.__slots__, (files, onsets, offsets, labels)):
@@ -154,19 +168,22 @@ class OnsetIndex:
 
     ``events`` are the indexed events in file-then-onset order, a stable
     sort, so events with equal keys keep their input order; every position
-    a lookup returns is a position in ``events``. ``spans[file_id]`` is the
-    ``[start, end)`` slice of that file's events in ``events``, ``onsets``
-    and ``run_max_offset``. Within a file, ``run_max_offset[k]`` is the
-    largest offset of the events up to ``k``, so both pruning bounds of a
-    lookup are bisections on stored floats and no rounding can drop an
-    overlapping event.
+    a lookup returns is a position in ``events``. ``onsets``, ``offsets``
+    and ``labels`` hold the fields of ``events`` as columns, so a lookup
+    reads no event. ``spans[file_id]`` is the ``[start, end)`` slice of
+    that file's events in these lists and ``run_max_offset``. Within a
+    file, ``run_max_offset[k]`` is the largest offset of the events up to
+    ``k``, so both pruning bounds of a lookup are bisections on stored
+    floats and no rounding can drop an overlapping event.
     """
 
-    __slots__ = ("events", "onsets", "run_max_offset", "spans")
+    __slots__ = ("events", "onsets", "offsets", "labels", "run_max_offset", "spans")
 
     def __init__(self, events: Iterable[Event]) -> None:
         self.events = events = sorted(events, key=attrgetter("file_id", "onset"))
-        self.onsets = [ev.onset for ev in events]
+        self.onsets = list(map(attrgetter("onset"), events))
+        self.offsets = list(map(attrgetter("offset"), events))
+        self.labels = list(map(attrgetter("class_label"), events))
         self.run_max_offset: list[float] = []
         self.spans: dict[str, tuple[int, int]] = {}
         prev = None
@@ -179,30 +196,34 @@ class OnsetIndex:
             self.run_max_offset.append(top)
             self.spans[file_id] = (start, k + 1)
 
-    def overlaps(self, x: Event) -> list[tuple[float, int]]:
-        """``(overlap, position)`` of each indexed event that overlaps ``x``, in index order.
+    def overlaps(self, x: Event) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
+        """``(own, other)``: the ``(overlap, position)`` of each indexed event that overlaps ``x``.
 
-        Only events of ``x``'s file with a positive overlap appear. Each
-        overlap is the value :func:`intersection_duration` gives, with
-        ``min`` and ``max`` written out: builtin calls would dominate the
-        cost of this loop.
+        One scan splits the hits: ``own`` holds those of ``x``'s class,
+        ``other`` those of every other class, each in index order. Only
+        events of ``x``'s file with a positive overlap appear. Each overlap
+        is the value :func:`intersection_duration` gives, with ``min`` and
+        ``max`` written out: builtin calls would dominate the cost of this
+        loop.
         """
+        own: list[tuple[float, int]] = []
+        other: list[tuple[float, int]] = []
         span = self.spans.get(x.file_id)
         if span is None:
-            return []
-        onset, offset = x.onset, x.offset
+            return own, other
+        onset, offset, label = x.onset, x.offset, x.class_label
         lo = bisect_right(self.run_max_offset, onset, *span)
         hi = bisect_left(self.onsets, offset, lo, span[1])
-        events = self.events
-        hits = []
+        onsets, offsets, labels = self.onsets, self.offsets, self.labels
         for i in range(lo, hi):
-            y = events[i]
-            overlap = (offset if offset <= y.offset else y.offset) - (
-                onset if onset >= y.onset else y.onset
-            )
+            start, end = onsets[i], offsets[i]
+            overlap = (offset if offset <= end else end) - (onset if onset >= start else start)
             if overlap > 0:
-                hits.append((overlap, i))
-        return hits
+                if labels[i] == label:
+                    own.append((overlap, i))
+                else:
+                    other.append((overlap, i))
+        return own, other
 
     def onset_window(self, x: Event, reach: float) -> range:
         """Positions of the indexed events of ``x``'s file with onsets near ``x``'s.
@@ -248,7 +269,7 @@ class EventSet:
         """Onset index of all events, built on first use."""
         return OnsetIndex(self.events)
 
-    @property
+    @cached_property
     def class_labels(self) -> tuple[str, ...]:
         """All labels present, sorted. For a ground-truth set this is the
         class universe of the evaluation."""
@@ -270,6 +291,28 @@ def _row_fields(row: object) -> tuple[str, float, float, str, int | None]:
         return row.file_id, row.onset, row.offset, row.class_label, None
     file_id, onset, offset, label = tuple(row)[:4]  # type: ignore[call-overload]
     return str(file_id), float(onset), float(offset), str(label), getattr(row, "line", None)
+
+
+def _columns_of_rows(rows: object) -> list[list] | None:
+    """The four field columns of a list or tuple of rows, as :func:`_row_fields` reads them.
+
+    Either every row is an ``Event``, whose fields are taken as they are,
+    or every row is a tuple or list, whose first four items are converted
+    by ``str`` and ``float`` as that function converts them. Any other
+    rows, a mix of the two kinds included, give None; so does a row of
+    fewer than four items, whose fault the row loop reports in its place.
+    A conversion that fails raises.
+    """
+    if type(rows) not in (list, tuple):
+        return None
+    if all(map(isinstance, rows, repeat(Event))):
+        return [list(map(attrgetter(field), rows)) for field in Event.__slots__]
+    if not all(map(isinstance, rows, repeat((tuple, list)))):
+        return None
+    columns = list(islice(zip(*rows), 4))
+    if len(columns) < 4:
+        return None
+    return [list(map(kind, column)) for kind, column in zip((str, float, float, str), columns)]
 
 
 def _check_placement(
@@ -307,8 +350,8 @@ def _validated(
 ) -> Iterator[Event]:
     """Yield the checked event of each ``(file_id, onset, offset, label, line)`` row.
 
-    The row loop's last step: it serves :func:`validate_events`, and a
-    table loader once a column check fails. Every rule has one message,
+    The row loop's last step: it serves :func:`validate_events` and the
+    table loaders once a column check fails. Every rule has one message,
     raised by :class:`Event`, :func:`_check_placement` or the row loop; a
     fault is re-raised with ``source`` and the row's line appended, and of
     several faulty rows the first one is reported.
@@ -341,11 +384,26 @@ def validate_events(
     outside it are rejected; labels outside the ground truth would
     otherwise silently score as pure false positives and hide file mix-ups.
 
+    A list or tuple of rows of one kind, all ``Event`` objects or all
+    tuples and lists (parsed ``TableRow`` objects included), is checked
+    column by column first, each rule once over a whole column, and its
+    events are made without ``Event.__init__``. Any other rows, and rows
+    that fail a check or a conversion, are read row by row, which raises
+    the first faulty row's error, so both ways give the same events and
+    the same errors.
+
     Validation is idempotent: feeding back the events of a valid EventSet
     reproduces it exactly.
     """
     allowed = None if allowed_classes is None else frozenset(allowed_classes)
-    return EventSet(tuple(_validated(map(_row_fields, rows), file_durations, allowed, source)))
+    try:
+        columns = _columns_of_rows(rows)
+        events = None if columns is None else _events_of_columns(*columns, file_durations, allowed)
+    except Exception:  # the row loop raises it again, after any fault of an earlier row
+        events = None
+    if events is None:
+        events = tuple(_validated(map(_row_fields, rows), file_durations, allowed, source))
+    return EventSet(events)
 
 
 @dataclass(frozen=True)

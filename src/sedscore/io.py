@@ -33,7 +33,6 @@ import math
 import os
 from collections import Counter
 from itertools import filterfalse, repeat
-from operator import gt
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -253,10 +252,12 @@ def _column_events(
 
     Checks each rule of the row loop (:func:`_event_rows` and
     :func:`events._validated`) once over a whole column, and each distinct
-    label and filename once, so it accepts exactly the tables that loop
-    accepts and gives the same events; which fault a rejected table holds,
-    and on which line, is left to that loop. :func:`events._events_of_columns`
-    checks ``Event``'s own two rules and makes the events.
+    label once, so it accepts exactly the tables that loop accepts and
+    gives the same events; which fault a rejected table holds, and on
+    which line, is left to that loop. This checks the rules of a table's
+    text; :func:`events._events_of_columns`, which :func:`validate_events`
+    shares, checks the rules of an event and its placement and makes the
+    events.
     """
     columns = _columns(lines, 4)
     if columns is None:
@@ -264,18 +265,12 @@ def _column_events(
     files, onset_cells, offset_cells, labels = columns
     onsets = _column_numbers(onset_cells)
     offsets = _column_numbers(offset_cells)
-    if onsets is None or offsets is None:
+    if onsets is None or offsets is None or "" in files:
         return None
-    names, kinds = set(files), set(labels)
-    if "" in names or not all(map(file_durations.__contains__, names)):
-        return None
+    kinds = set(labels)
     if "" in kinds or list(kinds) != list(map(str.strip, kinds)):
         return None
-    if allowed is not None and not kinds <= allowed:
-        return None
-    if any(map(gt, offsets, map(file_durations.__getitem__, files))):
-        return None
-    return _events_of_columns(files, onsets, offsets, labels)
+    return _events_of_columns(files, onsets, offsets, labels, file_durations, allowed)
 
 
 def _text_durations(text: str, source: str) -> dict[str, float]:

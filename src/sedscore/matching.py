@@ -24,15 +24,17 @@ so one detection spanning k ground truths can yield k true positives,
 and k split detections covering one ground truth yield at most one.
 
 Every overlap comes from one kernel, :meth:`OnsetIndex.overlaps`: the
-events of each file sorted by onset, with a running maximum of offsets, so
-a lookup visits only the events that can overlap and counting costs close
-to linear time in the events per file. The ground-truth index is built
+events of each file sorted by onset, their fields kept as columns, with a
+running maximum of offsets, so a lookup visits only the events that can
+overlap, reads no event, and counting costs close to linear time in the
+events per file. One scan splits a lookup's hits into those of the
+detection's own class and the others. The ground-truth index is built
 lazily, once per dataset, on first use, and a ground truth is named by its
 position in the index's own list of events, in file-then-onset order.
 :func:`count_matrix` makes one lookup per detection and no other, and
-turns it into the detection's record: its own-class overlaps decide its
-DTC verdict; a relevant detection keeps them, and a false positive keeps
-the classes its overlaps, folded by class, cross-trigger. A record
+turns it into the detection's record: its own-class hits decide its DTC
+verdict; a relevant detection keeps them, and a false positive keeps the
+classes its other hits, folded by class, cross-trigger. A record
 depends only on the detection, the dataset and the params, so a sweep
 can reuse it for a repeated row.
 The tally of a table's records gives its counts: GTC sums, for each
@@ -231,7 +233,7 @@ def _verdicts(
     a sweep may reuse it for an identical detection of another table.
     """
     index = dataset.ground_truth.onset_index
-    gt, overlaps = index.events, index.overlaps
+    gt, labels, overlaps = index.events, index.labels, index.overlaps
     classes = dataset.classes
     dtc, cttc = params.dtc_threshold, params.cttc_threshold
 
@@ -240,20 +242,19 @@ def _verdicts(
 
     for det in detections:
         c = det.class_label
-        hits = overlaps(det)
-        own = [hit for hit in hits if gt[hit[1]].class_label == c]
+        own, rest = overlaps(det)
         # with no own-class hit, exactly 0 >= dtc * duration, as the duration is positive
         relevant = _reaches(det, own, dtc, gt_of) if own else not dtc
         if relevant:
             yield c, own, det
         elif not cttc:  # every other class counts, overlap or not
             yield c, None, [other for other in classes if other != c]
-        else:  # only a class with an overlap can reach the threshold
+        elif not rest:  # only a class with an overlap can reach the threshold
+            yield c, None, rest
+        else:
             folded: dict[str, list[tuple[float, int]]] = {}
-            for hit in hits:
-                other = gt[hit[1]].class_label
-                if other != c:
-                    folded.setdefault(other, []).append(hit)
+            for hit in rest:
+                folded.setdefault(labels[hit[1]], []).append(hit)
             yield c, None, [o for o, parts in folded.items() if _reaches(det, parts, cttc, gt_of)]
 
 

@@ -1,11 +1,12 @@
 """A valid table's events are made by columns, never through ``Event.__init__``.
 
-``load_dataset``, ``load_detections`` and a sweep's fresh rows check a
-table's rows over whole columns, ``Event``'s own onset and duration rules
-included, and then fill each field of all the events through its slot. The
-events they make must be ``Event`` objects like any other: equal, hash-equal,
-picklable and copyable, with a ``-0`` onset's sign kept. A table with a
-faulty row is read again by the row loop, whose ``Event`` names the fault.
+``load_dataset``, ``load_detections``, a sweep's fresh rows and
+``validate_events`` given a list of rows or events check the rows over
+whole columns, ``Event``'s own onset and duration rules included, and then
+fill each field of all the events through its slot. The events they make
+must be ``Event`` objects like any other: equal, hash-equal, picklable and
+copyable, with a ``-0`` onset's sign kept. A table with a faulty row is
+read again by the row loop, whose ``Event`` names the fault.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from sedscore import Event, NegativeOnset, NonPositiveDuration
+from sedscore import Event, NegativeOnset, NonPositiveDuration, validate_events
 from sedscore.io import (
     EVENT_HEADER,
     load_dataset,
     load_detections,
+    load_event_table,
     sweep_operating_points,
 )
 
@@ -50,6 +52,18 @@ def test_valid_tables_are_loaded_and_swept_without_event_init(inits):
     detections = load_detections(GOLDEN / "det.tsv", dataset)
     swept = sweep_operating_points(GOLDEN / "ops", dataset, default_params())
     assert len(dataset.ground_truth) and len(detections) and len(swept) == 4
+    assert inits == []
+
+
+def test_valid_rows_are_validated_without_event_init(inits):
+    dataset = load_dataset(GOLDEN / "gt.tsv", GOLDEN / "durations.tsv")
+    rows = load_event_table(GOLDEN / "det.tsv")
+    detections = validate_events(
+        rows, dataset.file_durations, allowed_classes=dataset.classes, source="det.tsv"
+    )
+    again = validate_events(detections.events, dataset.file_durations)
+    assert len(detections) == len(rows) and again == detections
+    assert detections == load_detections(GOLDEN / "det.tsv", dataset)
     assert inits == []
 
 

@@ -209,7 +209,24 @@ def test_overlaps_equal_all_pairs_in_index_order(instance):
     assert sorted(map(id, events)) == sorted(map(id, gts))
     for x in (Event(*r) for r in det_rows + gt_rows):
         expected = [(intersection_duration(x, g), i) for i, g in enumerate(events)]
-        assert index.overlaps(x) == [(overlap, i) for overlap, i in expected if overlap > 0]
+        own, other = index.overlaps(x)
+        # each list is in index order, so merged by position they are all pairs in index order
+        assert own == sorted(own, key=lambda hit: hit[1])
+        assert other == sorted(other, key=lambda hit: hit[1])
+        merged = sorted(own + other, key=lambda hit: hit[1])
+        assert merged == [(overlap, i) for overlap, i in expected if overlap > 0]
+        assert all(events[i].class_label == x.class_label for _, i in own)
+        assert all(events[i].class_label != x.class_label for _, i in other)
+
+
+def test_overlaps_split_one_detection_over_three_classes_of_equal_overlap():
+    gts = [Event("a", 0.0, 2.0, c) for c in ("z", "x", "y")] + [Event("a", 1.0, 3.0, "x")]
+    index = OnsetIndex(gts)
+    own, other = index.overlaps(Event("a", 1.0, 2.0, "x"))
+    assert own == [(1.0, 1), (1.0, 3)]
+    assert other == [(1.0, 0), (1.0, 2)]
+    assert [index.labels[i] for _, i in other] == ["z", "y"]
+    assert index.overlaps(Event("b", 1.0, 2.0, "x")) == ([], [])
 
 
 def _exact(x: float) -> Fraction:
@@ -235,7 +252,8 @@ def test_the_coverage_check_is_exact_on_each_class_hits(instance, drawn):
         return events[hit[1]]
 
     for det in (Event(*r) for r in det_rows + gt_rows):
-        hits = index.overlaps(det)
+        own, other = index.overlaps(det)
+        hits = own + other
         duration = _exact(det.offset) - _exact(det.onset)
         for c in CLASSES:
             parts = [hit for hit in hits if events[hit[1]].class_label == c]

@@ -9,18 +9,24 @@ is that the column checks accept exactly the tables the row loop accepts,
 and which fault each path reports first. On the golden corpus's files and
 classes, a table that is valid or has one faulty row must give the same
 events, or the same exception type and message, on both paths.
+
+``validate_events`` itself checks a list or tuple of rows by columns
+first, and reads any other rows, or rows that fail a check, row by row;
+its results are checked against the row loop alone on the same faults,
+fed as tuples, lists, ``TableRow`` objects, events and one-shot iterators.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedscore import Dataset, SedScoreError, io, validate_events
-from sedscore.io import EVENT_HEADER, load_dataset, load_detections, load_event_table
+from sedscore import Dataset, Event, SedScoreError, events, io, validate_events
+from sedscore.io import EVENT_HEADER, TableRow, load_dataset, load_detections, load_event_table
 
 GOLDEN = Path(__file__).parent / "golden"
 DATASET = load_dataset(GOLDEN / "gt.tsv", GOLDEN / "durations.tsv")
@@ -166,3 +172,126 @@ def test_a_valid_table_is_read_by_columns_alone(table_path, text):
         if two_step:  # a dataset needs ground truth
             dataset = load_dataset(table_path, GOLDEN / "durations.tsv")
             assert dataset.ground_truth.events == two_step
+
+
+def as_event(fields):
+    """An ``Event`` of a row's fields, made without its checks if they fail.
+
+    A row that no event can hold, one of another length or with a number
+    ``float`` refuses, stays a tuple.
+    """
+    try:
+        file_id, onset, offset, label = fields
+        file_id, onset, offset = str(file_id), float(onset), float(offset)
+    except ValueError:
+        return tuple(fields)
+    try:
+        return Event(file_id, onset, offset, label)
+    except SedScoreError:
+        event = object.__new__(Event)
+        for name, value in zip(Event.__slots__, (file_id, onset, offset, label)):
+            object.__setattr__(event, name, value)
+        return event
+
+
+# the ways validate_events may be given a row's fields
+ROW_KINDS = {
+    "tuple": tuple,
+    "list": list,
+    "TableRow": lambda fields: TableRow(*fields, 7) if len(fields) == 4 else tuple(fields),
+    "Event": as_event,
+    "one-shot iterator": iter,
+}
+
+
+def validated(rows, allowed=CLASSES, durations=None):
+    """``("ok", type, fields)`` of ``validate_events``, or the type and message of its error.
+
+    The fields are given by ``repr``, so the sign of a zero and the type of
+    a number count.
+    """
+    try:
+        result = validate_events(
+            rows,
+            DATASET.file_durations if durations is None else durations,
+            allowed_classes=allowed,
+            source="t.tsv",
+        )
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = [(type(e), *map(repr, (e.file_id, e.onset, e.offset, e.class_label))) for e in result]
+    return "ok", type(result), fields
+
+
+def by_rows(rows, **kwargs):
+    """:func:`validated` with the column path switched off: the row loop alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events, "_columns_of_rows", lambda rows: None)
+        return validated(rows, **kwargs)
+
+
+@st.composite
+def row_lists(draw):
+    """A maker of rows with at most one rewritten by one of ``FAULTS``, of one kind or mixed.
+
+    Each call makes the rows anew, so that one-shot iterators can be read twice.
+    """
+    rows = draw(st.lists(valid_rows(), max_size=12))
+    if rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = FAULTS[draw(st.sampled_from(sorted(FAULTS)))](*rows[i])
+    kinds = st.sampled_from(sorted(ROW_KINDS))
+    if draw(st.booleans()):
+        kinds = st.just(draw(kinds))
+    kinds = [ROW_KINDS[draw(kinds)] for _ in rows]
+    container = draw(st.sampled_from([list, tuple, iter]))
+    return lambda: container([kind(row) for kind, row in zip(kinds, rows)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(make=row_lists(), restricted=st.booleans())
+def test_validate_events_by_columns_matches_the_row_loop(make, restricted):
+    allowed = CLASSES if restricted else None
+    assert validated(make(), allowed) == by_rows(make(), allowed=allowed)
+
+
+FILE = FILES[0]
+ODD_ROWS = {
+    "nan onset": [(FILE, math.nan, 1.0, CLASSES[0])],
+    "nan offset": [(FILE, 0.5, math.nan, CLASSES[0])],
+    "inf onset": [(FILE, math.inf, 1.0, CLASSES[0])],
+    "-inf onset": [(FILE, -math.inf, 1.0, CLASSES[0])],
+    "inf offset": [(FILE, 0.5, math.inf, CLASSES[0])],
+    "-inf offset": [(FILE, 0.5, -math.inf, CLASSES[0])],
+    "nan string": [(FILE, "nan", "1", CLASSES[0])],
+    "numeric strings": [(FILE, "1.5", "2.5", CLASSES[0]), [FILE, " 0.25 ", "1e0", CLASSES[1]]],
+    "negative zero onset": [(FILE, -0.0, 1.0, CLASSES[0]), (FILE, "-0", 2, CLASSES[1])],
+    "integer times": [(FILE, 0, 1, CLASSES[0])],
+    "integer file id": [(7, 0.5, 1.0, CLASSES[0])],
+    "integer label": [(FILE, 0.5, 1.0, 3)],
+    "short row": [(FILE, 0.5, 1.0, CLASSES[0]), (FILE, 0.5, 1.0)],
+    "short row after a fault": [(FILE, -1.0, 1.0, CLASSES[0]), (FILE, 0.5)],
+    "fault after a short row": [(FILE, 0.5), (FILE, -1.0, 1.0, CLASSES[0])],
+    "long row": [(FILE, 0.5, 1.0, CLASSES[0], "extra", 0.9)],
+    "not a number": [(FILE, "zero", 1.0, CLASSES[0])],
+    "None onset": [(FILE, None, 1.0, CLASSES[0])],
+    "None onset after a fault": [("z.wav", 0.5, 1.0, CLASSES[0]), (FILE, None, 1.0, CLASSES[0])],
+    "events": [Event(FILE, 0.5, 1.0, CLASSES[0]), Event(FILE, -0.0, 1, CLASSES[1])],
+    "event of an unknown label": [Event(FILE, 0.5, 1.0, "unicorn")],
+    "event of an unhashable label": [Event(FILE, 0.5, 1.0, ["x"])],
+    "events and a tuple": [Event(FILE, 0.5, 1.0, CLASSES[0]), (FILE, "0.5", "1", CLASSES[1])],
+    "a tuple and an event": [(FILE, "-1", "1", CLASSES[0]), Event(FILE, 0.5, 1.0, CLASSES[1])],
+    "a string row": [f"{FILE}\t0.5\t1\t{CLASSES[0]}"],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_ROWS))
+def test_validate_events_by_columns_matches_the_row_loop_on_odd_rows(name):
+    durations = {**DATASET.file_durations, "7": 5.0}
+    for allowed in (CLASSES, None):
+        expected = by_rows(list(ODD_ROWS[name]), allowed=allowed, durations=durations)
+        for container in (list, tuple, iter):
+            assert validated(container(ODD_ROWS[name]), allowed, durations) == expected
+        one_shot = [iter(row) if isinstance(row, tuple) else row for row in ODD_ROWS[name]]
+        assert validated(one_shot, allowed, durations) == expected
